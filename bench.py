@@ -82,20 +82,9 @@ def _run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    import logging
+    from gdal_ray.ops.runtime import drop_schema_noise
 
-    class _DropSchemaNoise(logging.Filter):
-        """Ray 2.49 logs a per-0-row-block 'RefBundle with a different
-        schema' WARNING for surplus hash partitions (documented at
-        ops/shuffle.py) — harmless, drop it from driver logs."""
-
-        def filter(self, rec):
-            return ("RefBundle with a different schema"
-                    not in rec.getMessage())
-
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).addFilter(_DropSchemaNoise())
+    drop_schema_noise()
 
     from gdal_ray.pipelines import corpus_queries as CQ
     from gdal_ray.pipelines import flagship as F

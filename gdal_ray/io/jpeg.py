@@ -21,6 +21,8 @@ import struct
 
 import numpy as np
 
+from gdal_ray.ops.runtime import memo
+
 __all__ = ["encode_jpeg", "decode_jpeg"]
 
 # --- constants (ITU T.81 / JFIF, public spec) ------------------------------
@@ -155,10 +157,10 @@ def _decode_lut(bits, vals):
 
     Cached on the table definition — rebuilding costs ~5 ms and every
     standard-table stream hits the cache."""
-    key = (tuple(bits), tuple(vals))
-    hit = _LUT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return memo(_LUT_CACHE, (tuple(bits), tuple(vals)), lambda: _build_lut(bits, vals), 32)
+
+
+def _build_lut(bits, vals):
     sym = np.zeros(65536, dtype=np.int32)
     length = np.zeros(65536, dtype=np.int32)
     code = 0
@@ -173,11 +175,7 @@ def _decode_lut(bits, vals):
             code += 1
             k += 1
         code <<= 1
-    out = (sym.tolist(), length.tolist())
-    if len(_LUT_CACHE) > 32:
-        _LUT_CACHE.clear()
-    _LUT_CACHE[key] = out
-    return out
+    return sym.tolist(), length.tolist()
 
 
 # --- forward path ----------------------------------------------------------
@@ -396,47 +394,6 @@ def _upsample2(p: np.ndarray, axis: int) -> np.ndarray:
 
 
 # --- decoder ----------------------------------------------------------------
-
-class _BitReader:
-    __slots__ = ("data", "n", "pos", "acc", "bits")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.n = len(data)
-        self.pos = 0
-        self.acc = 0
-        self.bits = 0
-
-    def _fill(self, need: int):
-        while self.bits < need:
-            b = self.data[self.pos] if self.pos < self.n else 0
-            self.pos += 1
-            self.acc = (self.acc << 8) | b
-            self.bits += 8
-
-    def peek16(self) -> int:
-        if self.bits < 16:
-            self._fill(16)
-        return (self.acc >> (self.bits - 16)) & 0xFFFF
-
-    def skip(self, k: int):
-        self.bits -= k
-        self.acc &= (1 << self.bits) - 1
-
-    def read(self, k: int) -> int:
-        if k == 0:
-            return 0
-        if self.bits < k:
-            self._fill(k)
-        v = (self.acc >> (self.bits - k)) & ((1 << k) - 1)
-        self.bits -= k
-        self.acc &= (1 << self.bits) - 1
-        return v
-
-    def reset(self):
-        self.acc = 0
-        self.bits = 0
-
 
 def _extend(v: int, size: int) -> int:
     return v - (1 << size) + 1 if v < (1 << (size - 1)) else v

@@ -138,10 +138,6 @@ def adaptive_partitions(cap: int = 16, divisor: int = 4) -> int:
     aggregators are CPU-holding actors, so requesting more of them than
     available cores deadlocks small sessions (and starves upstream task
     pools on big ones — see flagship._default_partitions measurements)."""
-    import ray as _ray
+    from gdal_ray.ops.runtime import cluster_cpus
 
-    try:
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(cap, cpus // divisor))
+    return max(2, min(cap, cluster_cpus() // divisor))

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.fixtures.generate import generate_corpus
+from gdal_ray.fixtures.generate import FIXTURE_ROOT, generate_corpus
 from gdal_ray.sources.corpus import read_parquet_tight as _rpt
 
 __all__ = [
@@ -231,7 +231,7 @@ def _datum_grid_path() -> str:
     node indices so the pytest oracle can recompute them."""
     from gdal_ray.geo.ntv2 import write_gsb
 
-    path = "/tmp/gdal_ray_fixtures/ntv2_corpus_v1.gsb"
+    path = os.path.join(FIXTURE_ROOT, "ntv2_corpus_v1.gsb")
     if not os.path.exists(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         r = np.arange(111, dtype=np.float64)[:, None]   # -55..55 N

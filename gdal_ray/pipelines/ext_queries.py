@@ -4,10 +4,12 @@ registry — both DuckDB-checkable."""
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd  # noqa: F401
+from gdal_ray.fixtures.generate import FIXTURE_ROOT
 from gdal_ray.sources.corpus import read_parquet_tight as _rpt
 from ray.data.aggregate import Count, Min
 
@@ -192,7 +194,6 @@ def q_geojson_roundtrip(sf_dir: str):
     parse, WKB decode (sources/geojson.py; reference driver
     ogr/ogrsf_frmts/geojson/). Refs: ogrgeojsonreader.cpp,
     ogrgeojsonseqdriver.cpp."""
-    import shutil
     import struct
 
     import numpy as np
@@ -205,7 +206,7 @@ def q_geojson_roundtrip(sf_dir: str):
     ds = _rpt(os.path.join(sf_dir, "customer.parquet"),
               columns=["c_custkey", "c_mktsegment"])
     n_rows = ds.count()
-    out = f"/tmp/gdal_ray_fixtures/gj_cust_{n_rows}"
+    out = os.path.join(FIXTURE_ROOT, f"gj_cust_{n_rows}")
     shutil.rmtree(out, ignore_errors=True)
 
     def to_features(t: pa.Table) -> pa.Table:
@@ -293,7 +294,7 @@ def q_gpkg_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    path = f"/tmp/gdal_ray_fixtures/gpkg_sup_{n_rows}.gpkg"
+    path = os.path.join(FIXTURE_ROOT, f"gpkg_sup_{n_rows}.gpkg")
     write_gpkg(ds.map_batches(to_features, batch_format="pyarrow"),
                path, "suppliers", srs_id=4326, geometry_type="POINT")
 
@@ -363,7 +364,7 @@ def q_shp_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    base = f"/tmp/gdal_ray_fixtures/shp_part_{n_rows}"
+    base = os.path.join(FIXTURE_ROOT, f"shp_part_{n_rows}")
     write_shapefile(ds.map_batches(to_features, batch_format="pyarrow"),
                     base)
 
@@ -405,7 +406,6 @@ def q_csv_roundtrip(sf_dir: str):
     (property-tested in tests/test_codecs_property.py). Exercises:
     WKB->WKT->WKB codec, sharded CSV write/read (sources/csvlayer.py;
     reference ogr/ogrsf_frmts/csv/ogrcsvlayer.cpp)."""
-    import shutil
     import struct
 
     import numpy as np
@@ -435,7 +435,7 @@ def q_csv_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    out = f"/tmp/gdal_ray_fixtures/csv_orders_{n_rows}"
+    out = os.path.join(FIXTURE_ROOT, f"csv_orders_{n_rows}")
     shutil.rmtree(out, ignore_errors=True)
     write_csv_layer(ds.map_batches(to_features, batch_format="pyarrow"),
                     out).materialize()  # tiny shard summary
@@ -497,7 +497,7 @@ def q_mbtiles_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    path = f"/tmp/gdal_ray_fixtures/mbt_part_{n_rows}.mbtiles"
+    path = os.path.join(FIXTURE_ROOT, f"mbt_part_{n_rows}.mbtiles")
     write_mbtiles(ds.map_batches(to_tiles, batch_format="pyarrow"), path,
                   name="part_tiles")
 
@@ -865,7 +865,8 @@ def q_gpx_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    base = f"/tmp/gdal_ray_fixtures/gpx_part_{n_rows}"
+    base = os.path.join(FIXTURE_ROOT, f"gpx_part_{n_rows}")
+    shutil.rmtree(base, ignore_errors=True)  # stale shards would be read back
     write_gpx_dir(ds.map_batches(to_features, batch_format="pyarrow"),
                   base, "waypoints").materialize()
 
@@ -923,7 +924,8 @@ def q_kml_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    base = f"/tmp/gdal_ray_fixtures/kml_cust_{n_rows}"
+    base = os.path.join(FIXTURE_ROOT, f"kml_cust_{n_rows}")
+    shutil.rmtree(base, ignore_errors=True)  # stale shards would be read back
     write_kml_dir(ds.map_batches(to_features, batch_format="pyarrow"),
                   base).materialize()
 
@@ -1187,7 +1189,8 @@ def q_arrow_roundtrip(sf_dir: str):
         })
 
     n_rows = ds.count()
-    base = f"/tmp/gdal_ray_fixtures/arrow_orders_{n_rows}"
+    base = os.path.join(FIXTURE_ROOT, f"arrow_orders_{n_rows}")
+    shutil.rmtree(base, ignore_errors=True)  # stale shards would be read back
     write_arrow_ipc(ds.map_batches(to_features, batch_format="pyarrow"),
                     base).materialize()
 
@@ -1284,7 +1287,8 @@ def q_gml_roundtrip(sf_dir: str):
                              pa.string()),
         })
 
-    base = "/tmp/gdal_ray_fixtures/gml_nation"
+    base = os.path.join(FIXTURE_ROOT, "gml_nation")
+    shutil.rmtree(base, ignore_errors=True)  # stale shards would be read back
     write_gml_dir(ds.map_batches(to_features, batch_format="pyarrow"),
                   base).materialize()
 

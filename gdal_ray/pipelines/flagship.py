@@ -1,18 +1,25 @@
 """Flagship end-to-end pipeline: decode + cell encode + PIP join + tile assign.
 
 This is the BASELINE.json headline metric pipeline (images/sec end-to-end)
-re-expressed Ray-Data-first. Headline path (flagship_single_pass) has NO
-shuffle and no mid-pipeline materialization:
+re-expressed Ray-Data-first. Every image source here is ONE fused source,
+``fused_image_apply(corpus, kernel)``: each read task reads one row group of
+an images shard, appends the placement columns from the like-named
+placements shard (``_take_placements``, worker-cached) and runs ``kernel``
+on the result, so the raw image payload never enters the object store.
+``placed_images`` is that source with the decode + geo kernel
+(``decode=True``) or the geo kernel alone over (image_id, w, h). The
+headline path (``flagship_single_pass``) adds no shuffle and no
+mid-pipeline materialization:
 
-    read images shards (parallel, include_paths)
-      ─▶ co-partitioned placements merge (worker-cached shard lookup)
-      ─▶ decode_stats (stateless task pool; drops bytes)
-      ─▶ add_centroid/add_bbox/add_cell (fused vectorized stages)
+    row-group read ─▶ placements merge ─▶ kernel (decode_stats, geo columns)
       ─▶ per-batch: explode_tiles  +  pip_join_batch(broadcast polygon index)
       ─▶ tagged (tile | pip) rows, streamed to the consumer
 
-The general hash-shuffle join path remains for non-co-sharded tables
-(join_strategy="hash"); the shuffle PIP variant with hot-cell salting
+One fallback rule: a corpus whose images and placements are not co-sharded
+(like-named part files) has no row-group units to fuse over.
+``fused_image_apply`` then reads with ``read_parquet`` and runs the same
+kernel per batch, and ``placed_images`` uses Ray's hash join
+(``join_strategy="hash"``). The shuffle PIP variant with hot-cell salting
 lives in stages/pipjoin.pip_join_shuffle.
 """
 
@@ -24,6 +31,7 @@ import ray
 import ray.data as rd
 
 from gdal_ray.config import CELL_LEVEL, IMAGE_BATCH, META_BATCH, TILE_ZOOMS
+from gdal_ray.ops.runtime import cluster_cpus, memo
 from gdal_ray.sources import corpus as SRC
 from gdal_ray.stages import geo as G
 from gdal_ray.stages.pipjoin import build_polygon_cell_index, pip_join_batch
@@ -35,7 +43,6 @@ __all__ = [
     "tile_assignments",
     "pip_join_images",
     "knn_images",
-    "flagship",
 ]
 
 
@@ -48,13 +55,7 @@ def _default_partitions() -> int:
     32 partitions -> 163 s from aggregator starvation). On a multi-node
     cluster scale this with aggregate cores, not per-node cores.
     """
-    import ray as _r
-
-    try:
-        cpus = int(_r.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(4, min(16, cpus // 4))
+    return max(4, min(16, cluster_cpus() // 4))
 
 
 def decoded_meta(corpus_dir: str, keep_pixels=False) -> rd.Dataset:
@@ -88,52 +89,45 @@ def _copart_shards(corpus_dir: str):
     return [(os.path.join(ip, f), os.path.join(pp, f)) for f in a]
 
 
-# per-worker cache of placements shards (path -> {image_id: row_idx} + table)
+# per-worker cache of placements shards (path -> table + {image_id: row_idx})
 _PLC_CACHE: dict = {}
 
 
-def _plc_shard(path: str):
-    ent = _PLC_CACHE.get(path)
-    if ent is None:
-        import pyarrow.parquet as pq
+def _read_plc_shard(path: str):
+    import pyarrow.parquet as pq
 
-        from gdal_ray.sources.corpus import _split_gt
+    t = SRC._split_gt(pq.read_table(path))
+    return t, {v: i for i, v in enumerate(t["image_id"].to_pylist())}
 
-        t = _split_gt(pq.read_table(path))
-        idx = {v: i for i, v in enumerate(t["image_id"].to_pylist())}
-        if len(_PLC_CACHE) > 64:
-            _PLC_CACHE.clear()
-        ent = (t, idx)
-        _PLC_CACHE[path] = ent
-    return ent
+
+def _take_placements(table: pa.Table, plc_path: str) -> pa.Table:
+    """Append the placement columns of ``table``'s rows, looked up by
+    image_id in the placements shard at ``plc_path`` (worker-cached)."""
+    plc, idx = memo(_PLC_CACHE, plc_path, lambda: _read_plc_shard(plc_path), 64)
+    take = pa.array([idx[v] for v in table["image_id"].to_pylist()], pa.int64())
+    for name in plc.column_names:
+        if name != "image_id":
+            table = table.append_column(name, plc[name].take(take))
+    return table
 
 
 def _merge_placements(batch: pa.Table, plc_dir: str) -> pa.Table:
-    """Co-partitioned merge: each image row pulls its placement row from the
-    like-named placements shard (worker-cached). No shuffle; batches may
-    span shard boundaries."""
+    """Co-partitioned merge of a batch read with ``include_paths``: each run
+    of rows from one images shard takes its placement columns from the
+    like-named placements shard. No shuffle; batches may span shards."""
+    import itertools
     import os
 
     paths = batch["path"].to_pylist()
     batch = batch.drop_columns(["path"])
-    out_parts = []
+    parts = []
     pos = 0
-    n = len(paths)
-    while pos < n:
-        end = pos
-        p = paths[pos]
-        while end < n and paths[end] == p:
-            end += 1
-        sub = batch.slice(pos, end - pos)
-        t, idx = _plc_shard(os.path.join(plc_dir, os.path.basename(p)))
-        take = pa.array([idx[v] for v in sub["image_id"].to_pylist()], pa.int64())
-        merged = sub
-        for name in t.column_names:
-            if name != "image_id":
-                merged = merged.append_column(name, t[name].take(take))
-        out_parts.append(merged)
-        pos = end
-    return pa.concat_tables(out_parts, promote_options="default")
+    for path, run in itertools.groupby(paths):
+        n = sum(1 for _ in run)
+        plc_path = os.path.join(plc_dir, os.path.basename(path))
+        parts.append(_take_placements(batch.slice(pos, n), plc_path))
+        pos += n
+    return pa.concat_tables(parts, promote_options="default")
 
 
 def _shard_units(corpus_dir: str):
@@ -155,78 +149,17 @@ def _shard_units(corpus_dir: str):
     return units
 
 
-# lazy-plan cache: the fused source's driver-side setup (shard metadata scan
-# + 1-row-per-unit block creation) is identical across executions of the same
-# corpus; a Dataset is a reusable lazy plan, so build it once per process.
-# Keys include the Ray session (job id) — a ray.shutdown()/init() cycle in
-# the same process must NOT resurrect refs owned by the dead session.
-_FUSED_CACHE: dict = {}
-
-
-def _session_key() -> str:
+def _session_key() -> tuple:
+    """Identifies the current Ray session, for caches of object refs. The
+    job id alone restarts at the same value after ``ray.shutdown()`` /
+    ``ray.init()`` in one process; the node id is new on every
+    local ``ray.init``, and the job id is new on every reconnect to a
+    running cluster."""
     try:
-        return ray.get_runtime_context().get_job_id()
+        ctx = ray.get_runtime_context()
+        return ctx.get_job_id(), ctx.get_node_id()
     except Exception:
-        return "nosession"
-
-
-def placed_images_fused(corpus_dir: str, keep_pixels: bool = False) -> rd.Dataset:
-    """Fused read+merge+decode+geo source: each task reads ONE row group of
-    its images shard directly from storage, merges the like-named
-    placements shard (worker-cached), decodes, and emits metadata rows.
-
-    The raw image payload NEVER enters the object store — on a single box
-    that removes the shared plasma put/get of the full corpus (the
-    non-scaling residual in the 8->32 CPU proxy); on a real cluster it is
-    exactly the "decode at the source, ship only metadata" layout a 100 TB
-    run needs (each node reads its own shards from storage).
-    """
-    from gdal_ray.stages.decode import decode_stats
-
-    sess = _session_key()
-    cached = _FUSED_CACHE.get((sess, corpus_dir, keep_pixels))
-    if cached is not None:
-        return cached
-
-    units = _shard_units(corpus_dir)
-    if units is None:
-        raise ValueError(
-            f"placed_images_fused requires the co-sharded images/placements "
-            f"layout (like-named part files) under {corpus_dir!r}; use "
-            f"placed_images(..., join_strategy='hash') for non-co-sharded tables"
-        )
-    ds = rd.from_items(units, override_num_blocks=len(units))
-
-    def load(batch: pa.Table) -> pa.Table:
-        import os
-
-        import pyarrow.parquet as pq
-
-        outs = []
-        for img_path, plc_path, rg in zip(
-            batch["img_path"].to_pylist(),
-            batch["plc_path"].to_pylist(),
-            batch["rg"].to_pylist(),
-        ):
-            # use_threads=False: each task owns ONE CPU slot; pyarrow's
-            # internal thread pool would oversubscribe against the 31 other
-            # concurrent tasks on the box
-            t = pq.ParquetFile(img_path).read_row_group(rg, use_threads=False)
-            plc_t, idx = _plc_shard(plc_path)
-            take = pa.array([idx[v] for v in t["image_id"].to_pylist()], pa.int64())
-            for name in plc_t.column_names:
-                if name != "image_id":
-                    t = t.append_column(name, plc_t[name].take(take))
-            t = decode_stats(t, keep_pixels=keep_pixels)
-            t = G.add_cell(G.add_bbox_meters(G.add_centroid_meters(t)))
-            outs.append(t)
-        return pa.concat_tables(outs, promote_options="default")
-
-    out = ds.map_batches(load, batch_format="pyarrow", batch_size=None)
-    if len(_FUSED_CACHE) > 8:
-        _FUSED_CACHE.clear()
-    _FUSED_CACHE[(sess, corpus_dir, keep_pixels)] = out
-    return out
+        return ("nosession",)
 
 
 def fused_image_apply(
@@ -239,9 +172,9 @@ def fused_image_apply(
     """Run ``kernel(table) -> table`` INSIDE each read task over one images
     row group (merged with its like-named placements shard when
     ``with_placements``). The raw image payload never enters the object
-    store — only the kernel's (small) output rows do. This is the general
-    form of the flagship's fused source for per-image raster queries
-    (warp, global stats, histogram, …).
+    store — only the kernel's (small) output rows do. ``placed_images``
+    and the per-image raster queries (warp, global stats, histogram, …)
+    all read the corpus through it.
 
     ``kernel`` must return a correctly-TYPED table for empty input (it is
     called even when a filter inside leaves zero rows, so every block
@@ -251,18 +184,8 @@ def fused_image_apply(
     import os
 
     units = _shard_units(corpus_dir)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    if units is not None and len(units) < cpus:
-        # too few row groups to keep the box busy at one-task-per-row-group
-        # granularity (tiny corpus): the unfused read parallelizes across
-        # batches instead. At scale the row-group count dwarfs the core
-        # count and the fused path always wins.
-        units = None
     if units is None:
-        # non-co-sharded corpus: the general (unfused) plan
+        # non-co-sharded corpus: parallel read, per-batch merge, same kernel
         src = rd.read_parquet(
             os.path.join(corpus_dir, "images.parquet"),
             columns=columns,
@@ -291,21 +214,29 @@ def fused_image_apply(
             batch["plc_path"].to_pylist(),
             batch["rg"].to_pylist(),
         ):
+            # use_threads=False: each task owns ONE CPU slot; pyarrow's
+            # internal thread pool would oversubscribe against the other
+            # concurrent tasks on the box
             t = pq.ParquetFile(img_path).read_row_group(
                 rg, columns=cols, use_threads=False
             )
             if with_placements:
-                plc_t, idx = _plc_shard(plc_path)
-                take = pa.array(
-                    [idx[v] for v in t["image_id"].to_pylist()], pa.int64()
-                )
-                for name in plc_t.column_names:
-                    if name != "image_id":
-                        t = t.append_column(name, plc_t[name].take(take))
+                t = _take_placements(t, plc_path)
             outs.append(kernel(t))
         return pa.concat_tables(outs, promote_options="default")
 
     return ds.map_batches(load, batch_format="pyarrow", batch_size=None)
+
+
+def _add_geo(t: pa.Table) -> pa.Table:
+    """Centroid, bbox (EPSG:3857 meters) and cell columns."""
+    return G.add_cell(G.add_bbox_meters(G.add_centroid_meters(t)))
+
+
+def _decode_geo(t: pa.Table) -> pa.Table:
+    from gdal_ray.stages.decode import decode_stats
+
+    return _add_geo(decode_stats(t))
 
 
 def placed_images(
@@ -317,56 +248,29 @@ def placed_images(
     """(decoded) images ⋈ placements with centroid/bbox/cell columns added.
 
     join_strategy:
-      - "copartition" (default when shard layouts align): storage-level
-        merge, one task per shard pair, NO shuffle — the Lance-style
-        "placement columns live with the payload" layout;
+      - "copartition" (default when shard layouts align): the fused source,
+        ``fused_image_apply`` with the decode + geo kernel (or the geo kernel
+        alone over (image_id, w, h) when ``decode`` is False) — no shuffle;
       - "hash": Ray's hash-shuffle join (the general path when the two
         tables are not co-sharded).
     """
-    import os
-
-    pairs = _copart_shards(corpus_dir) if join_strategy in ("auto", "copartition") else None
-    if pairs and decode:
-        # fully-fused source: payload never enters the object store
-        return placed_images_fused(corpus_dir)
-    if pairs:
-        cols = None if decode else ["image_id", "w", "h"]
-        src = rd.read_parquet(
-            os.path.join(corpus_dir, "images.parquet"), columns=cols, include_paths=True
-        )
-        joined = src.map_batches(
-            _merge_placements,
-            fn_kwargs={"plc_dir": os.path.join(corpus_dir, "placements.parquet")},
-            batch_format="pyarrow",
-            batch_size=IMAGE_BATCH,
-        )
+    if join_strategy in ("auto", "copartition") and _copart_shards(corpus_dir):
         if decode:
-            from gdal_ray.stages.decode import decode_stats
-
-            joined = joined.map_batches(
-                decode_stats, batch_format="pyarrow", batch_size=IMAGE_BATCH
-            )
+            return fused_image_apply(corpus_dir, _decode_geo)
+        return fused_image_apply(corpus_dir, _add_geo, columns=["image_id", "w", "h"])
+    if decode:
+        left = decoded_meta(corpus_dir)
     else:
-        if decode:
-            left = decoded_meta(corpus_dir)
-        else:
-            left = SRC.read_images(corpus_dir, columns=["image_id", "w", "h"])
-        placements = SRC.read_placements(corpus_dir)
-        joined = left.join(
-            placements,
-            join_type="inner",
-            num_partitions=num_partitions or _default_partitions(),
-            on=("image_id",),
-        )
-    # batch_size=None: operate on whole incoming blocks. These cheap
-    # vectorized stages FUSE with the upstream decode chain; a large
-    # explicit batch_size would make the fused task bundler wait for that
-    # many rows and collapse the whole pipeline into one task.
-    return (
-        joined.map_batches(G.add_centroid_meters, batch_format="pyarrow", batch_size=None)
-        .map_batches(G.add_bbox_meters, batch_format="pyarrow", batch_size=None)
-        .map_batches(G.add_cell, batch_format="pyarrow", batch_size=None)
+        left = SRC.read_images(corpus_dir, columns=["image_id", "w", "h"])
+    joined = left.join(
+        SRC.read_placements(corpus_dir),
+        join_type="inner",
+        num_partitions=num_partitions or _default_partitions(),
+        on=("image_id",),
     )
+    # batch_size=None: operate on whole incoming blocks (a large explicit
+    # batch_size would make the fused task bundler wait for that many rows)
+    return joined.map_batches(_add_geo, batch_format="pyarrow", batch_size=None)
 
 
 def tile_assignments(placed: rd.Dataset, zooms=TILE_ZOOMS) -> rd.Dataset:
@@ -384,18 +288,14 @@ def _polygon_index_ref(corpus_dir: str):
     # broadcast handle; rebuilding per query call would re-ship it)
     import pyarrow.parquet as pq
 
-    key = (_session_key(), corpus_dir)
-    ref = _POLY_INDEX_CACHE.get(key)
-    if ref is None:
+    def build():
         table = pq.read_table(f"{corpus_dir}/polygons.parquet", columns=["poly_id", "wkb"])
-        ref = ray.put(build_polygon_cell_index(table, CELL_LEVEL))
-        if len(_POLY_INDEX_CACHE) > 8:
-            _POLY_INDEX_CACHE.clear()
-        _POLY_INDEX_CACHE[key] = ref
-    return ref
+        return ray.put(build_polygon_cell_index(table, CELL_LEVEL))
+
+    return memo(_POLY_INDEX_CACHE, (_session_key(), corpus_dir), build, 8)
 
 
-def pip_join_images(placed: rd.Dataset, corpus_dir: str, concurrency=(1, 4)) -> rd.Dataset:
+def pip_join_images(placed: rd.Dataset, corpus_dir: str) -> rd.Dataset:
     """Image centroids vs polygon layer -> (src_id, poly_id) rows."""
     index_ref = _polygon_index_ref(corpus_dir)
     pts = placed.select_columns(["image_id", "cx", "cy", "cell"]).rename_columns(
@@ -409,27 +309,32 @@ def pip_join_images(placed: rd.Dataset, corpus_dir: str, concurrency=(1, 4)) -> 
     )
 
 
-def pip_join_query_points(corpus_dir: str, concurrency=(1, 4)) -> rd.Dataset:
+def _project_queries(batch: pa.Table) -> pa.Table:
+    from gdal_ray.geo import mercator as M
+
+    mx, my = M.latlon_to_meters(np.asarray(batch["lat"]), np.asarray(batch["lon"]))
+    return (
+        batch.drop_columns(["lon", "lat"])
+        .append_column("cx", pa.array(mx))
+        .append_column("cy", pa.array(my))
+    )
+
+
+def _query_points(corpus_dir: str, columns: list) -> rd.Dataset:
+    """query_points ``columns`` plus the point in EPSG:3857 meters
+    (cx, cy): the query side of the PIP, kNN and point-sample joins."""
+    return SRC.read_query_points(corpus_dir, columns=columns + ["lon", "lat"]).map_batches(
+        _project_queries, batch_format="pyarrow", batch_size=META_BATCH
+    )
+
+
+def pip_join_query_points(corpus_dir: str) -> rd.Dataset:
     """query_points vs polygon layer (same broadcast join, no decode)."""
     index_ref = _polygon_index_ref(corpus_dir)
-
-    def prep(batch: pa.Table) -> pa.Table:
-        from gdal_ray.geo import mercator as M
-        from gdal_ray.geo import cells as CL
-
-        mx, my = M.latlon_to_meters(np.asarray(batch["lat"]), np.asarray(batch["lon"]))
-        cell = CL.cell_of_meters(mx, my, CELL_LEVEL)
-        return pa.table(
-            {
-                "src_id": batch["query_id"],
-                "cx": pa.array(mx),
-                "cy": pa.array(my),
-                "cell": pa.array(cell),
-            }
-        )
-
-    pts = SRC.read_query_points(corpus_dir, columns=["query_id", "lon", "lat"]).map_batches(
-        prep, batch_format="pyarrow", batch_size=META_BATCH
+    pts = (
+        _query_points(corpus_dir, ["query_id"])
+        .rename_columns({"query_id": "src_id"})
+        .map_batches(G.add_cell, batch_format="pyarrow", batch_size=None)
     )
     return pts.map_batches(
         pip_join_batch,
@@ -478,7 +383,7 @@ def _corpus_num_images(corpus_dir: str) -> int:
     return pq.ParquetFile(p).metadata.num_rows
 
 
-def knn_images(corpus_dir: str, concurrency=(1, 4)) -> rd.Dataset:
+def knn_images(corpus_dir: str) -> rd.Dataset:
     """query_points kNN against image centroids -> (query_id, rank, image_id, dist).
 
     Broadcast fast path for reference sides up to KNN_BROADCAST_MAX rows:
@@ -493,24 +398,7 @@ def knn_images(corpus_dir: str, concurrency=(1, 4)) -> rd.Dataset:
         return knn_images_shuffle(corpus_dir)
     ids, cx, cy = _image_centroids(corpus_dir)
     index_ref = ray.put(build_centroid_cell_index(ids, cx, cy))
-
-    def prep(batch: pa.Table) -> pa.Table:
-        from gdal_ray.geo import mercator as M
-
-        mx, my = M.latlon_to_meters(np.asarray(batch["lat"]), np.asarray(batch["lon"]))
-        return pa.table(
-            {
-                "query_id": batch["query_id"],
-                "cx": pa.array(mx),
-                "cy": pa.array(my),
-                "k": batch["k"],
-            }
-        )
-
-    queries = SRC.read_query_points(corpus_dir).map_batches(
-        prep, batch_format="pyarrow", batch_size=META_BATCH
-    )
-    return queries.map_batches(
+    return _query_points(corpus_dir, ["query_id", "k"]).map_batches(
         knn_batch,
         fn_kwargs={"index_ref": index_ref},
         batch_format="pyarrow",
@@ -529,37 +417,13 @@ def knn_images_shuffle(corpus_dir: str) -> rd.Dataset:
     points = placed_images(corpus_dir, decode=False).map_batches(
         lambda b: b.select(["image_id", "cx", "cy"]), batch_format="pyarrow"
     )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        from gdal_ray.geo import mercator as M
-
-        mx, my = M.latlon_to_meters(np.asarray(batch["lat"]), np.asarray(batch["lon"]))
-        return pa.table(
-            {
-                "query_id": batch["query_id"],
-                "cx": pa.array(mx),
-                "cy": pa.array(my),
-                "k": batch["k"],
-            }
-        )
-
-    queries = SRC.read_query_points(corpus_dir).map_batches(
-        prep, batch_format="pyarrow", batch_size=META_BATCH
-    )
+    queries = _query_points(corpus_dir, ["query_id", "k"])
     kmax = int(
         pq.read_table(f"{corpus_dir}/query_points.parquet", columns=["k"])["k"]
         .to_pandas()
         .max()
     )
     return knn_shuffle(points, queries, k=kmax)
-
-
-def flagship(corpus_dir: str, zooms=TILE_ZOOMS):
-    """Full headline pipeline; returns dict of result Datasets (lazy)."""
-    placed = placed_images(corpus_dir, decode=True)
-    tiles = tile_assignments(placed, zooms)
-    pip = pip_join_images(placed, corpus_dir)
-    return {"placed": placed, "tiles": tiles, "pip": pip}
 
 
 def flagship_single_pass(corpus_dir: str, zooms=TILE_ZOOMS) -> rd.Dataset:

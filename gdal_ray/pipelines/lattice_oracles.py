@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd  # noqa: F401
+from gdal_ray.fixtures.generate import FIXTURE_ROOT
 from gdal_ray.sources.corpus import read_parquet_tight as _rpt
 
 from gdal_ray.pipelines.derived_geo import LATTICE_A, LATTICE_B
@@ -989,7 +990,7 @@ def q_ntv2_lattice(sf_dir: str):
     frmts/raw/ntv2dataset.cpp (format), ogr/ogrct.cpp (datum-shift use)."""
     from gdal_ray.geo.ntv2 import read_gsb, write_gsb
 
-    path = "/tmp/gdal_ray_fixtures/ntv2_lattice_v1.gsb"
+    path = os.path.join(FIXTURE_ROOT, "ntv2_lattice_v1.gsb")
     if not os.path.exists(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         r = np.arange(21, dtype=np.float64)[:, None]

@@ -28,6 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd  # noqa: F401
+from gdal_ray.fixtures.generate import FIXTURE_ROOT
 from gdal_ray.sources.corpus import read_parquet_tight as _rpt
 
 __all__ = [
@@ -462,7 +463,7 @@ def q_geotiff_lattice(sf_dir: str):
 
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    out_dir = "/tmp/gdal_ray_fixtures/gt_lattice"
+    out_dir = os.path.join(FIXTURE_ROOT, "gt_lattice")
     os.makedirs(out_dir, exist_ok=True)
 
     def write_key(batch: pa.Table) -> pa.Table:
@@ -531,7 +532,7 @@ def q_vrt_lattice(sf_dir: str):
 
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    out_dir = "/tmp/gdal_ray_fixtures/vrt_lattice"
+    out_dir = os.path.join(FIXTURE_ROOT, "vrt_lattice")
     os.makedirs(out_dir, exist_ok=True)
 
     def write_key(batch: pa.Table) -> pa.Table:

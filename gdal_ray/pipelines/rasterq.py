@@ -163,21 +163,11 @@ def q_point_query(sf_dir: str):
     point table, no O(images x points) scan; see stages/pointquery.py."""
     import os
 
-    from gdal_ray.geo import mercator as M
-    from gdal_ray.pipelines.flagship import _merge_placements, placed_images
+    from gdal_ray.pipelines.flagship import _merge_placements, _query_points, placed_images
     from gdal_ray.stages.pointquery import point_footprint_candidates, sample_at_points
 
     d = corpus_for_sf(sf_dir)
-
-    def pts_prep(batch: pa.Table) -> pa.Table:
-        mx, my = M.latlon_to_meters(np.asarray(batch["lat"]), np.asarray(batch["lon"]))
-        return pa.table(
-            {"query_id": batch["query_id"], "cx": pa.array(mx), "cy": pa.array(my)}
-        )
-
-    points = _rpt(
-        os.path.join(d, "query_points.parquet"), columns=["query_id", "lon", "lat"]
-    ).map_batches(pts_prep, batch_format="pyarrow")
+    points = _query_points(d, ["query_id"])
 
     footprints = placed_images(d, decode=False).map_batches(
         lambda b: b.select(["image_id", "minx", "miny", "maxx", "maxy"]),

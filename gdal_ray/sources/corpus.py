@@ -40,7 +40,8 @@ def read_parquet_tight(path: str, columns=None, **kw) -> rd.Dataset:
     tables keep Ray's default split and the cosmetic warnings."""
     if "override_num_blocks" not in kw:
         import pyarrow.parquet as pq
-        import ray
+
+        from gdal_ray.ops.runtime import cluster_cpus
 
         try:
             if os.path.isdir(path):
@@ -51,10 +52,7 @@ def read_parquet_tight(path: str, columns=None, **kw) -> rd.Dataset:
                 )
             else:
                 nrg = pq.ParquetFile(path).metadata.num_row_groups
-            cpus = 8
-            if ray.is_initialized():
-                cpus = int(ray.cluster_resources().get("CPU", 8))
-            if nrg >= cpus:
+            if nrg >= cluster_cpus():
                 kw["override_num_blocks"] = nrg
         except Exception:
             pass

@@ -32,6 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from gdal_ray.ops.runtime import memo
 from gdal_ray.ops.shuffle import bucketed_group_apply
 
 __all__ = ["word_counts", "train_bpe", "encode_word", "encode_docs",
@@ -39,6 +40,7 @@ __all__ = ["word_counts", "train_bpe", "encode_word", "encode_docs",
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+", re.ASCII)
 _EOW = "</w>"
+_CACHE_CAP = 2_000_000  # distinct words held per actor
 
 
 def word_counts(docs_ds, text_col: str = "text", num_buckets: int = 16):
@@ -155,6 +157,10 @@ class _Encode:
                 h = ((h ^ byt) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
         return h
 
+    def _encode(self, word: str) -> tuple:
+        enc = encode_word(word, self.merges)
+        return len(enc), self._word_sig(enc)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = pd.Series(batch[self.text_col].to_pylist(), dtype="object")
         ids = np.asarray(batch[self.id_col], dtype=np.int64)
@@ -167,13 +173,10 @@ class _Encode:
         if not ex.empty:
             # per-UNIQUE-word work only (vocab-bounded); occurrences are
             # aggregated with vectorized scatter-adds
-            for w in pd.unique(ex.to_numpy(object)):
-                if w not in self.cache:
-                    enc = encode_word(w, self.merges)
-                    if len(self.cache) > 2_000_000:
-                        self.cache.clear()
-                    self.cache[w] = (len(enc), self._word_sig(enc))
-            vals = np.array(ex.map(self.cache).tolist(), dtype=np.uint64)
+            local = {w: self.cache[w] if w in self.cache
+                     else memo(self.cache, w, lambda: self._encode(w), _CACHE_CAP)
+                     for w in pd.unique(ex.to_numpy(object))}
+            vals = np.array(ex.map(local).tolist(), dtype=np.uint64)
             rows = ex.index.to_numpy(np.int64)
             np.add.at(n_sub, rows, vals[:, 0].astype(np.int64))
             np.add.at(sig, rows, vals[:, 1])  # commutative, wraps mod 2^64

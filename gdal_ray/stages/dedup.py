@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from gdal_ray.io.phash import hamming64
+from gdal_ray.ops.runtime import memo
 
 __all__ = [
     "add_md5",
@@ -425,13 +426,11 @@ class SimHasher:
         self._vocab: dict[str, int] = {}  # token -> uint64 hash, lives per actor
 
     def _hash64(self, tok: str) -> int:
-        h = self._vocab.get(tok)
-        if h is None:
-            h = int(hashlib.md5(tok.encode("utf-8")).hexdigest()[:16], 16)
-            if len(self._vocab) > 1_000_000:
-                self._vocab.clear()
-            self._vocab[tok] = h
-        return h
+        if tok in self._vocab:
+            return self._vocab[tok]
+        return memo(self._vocab, tok,
+                    lambda: int(hashlib.md5(tok.encode("utf-8")).hexdigest()[:16], 16),
+                    1_000_000)
 
     def simhash(self, text: str) -> int:
         """Scalar reference form (kept for tests/oracles)."""

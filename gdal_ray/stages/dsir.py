@@ -38,6 +38,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from gdal_ray.ops.runtime import memo
 from gdal_ray.ops.shuffle import bucketed_group_apply
 
 __all__ = ["fit_importance_weights", "score_importance", "dsir_select",
@@ -80,14 +81,10 @@ def _doc_gram_buckets(batch, cache: dict, num_feats: int,
     bi = (s.shift(1) + " " + s)[rows.eq(rows.shift(1))]
     grams = pd.concat([s, bi], ignore_index=False)
     gram_rows = np.concatenate([rows.to_numpy(), rows.to_numpy()[bi.index]])
-    uniq = pd.unique(grams.to_numpy(object))
-    missing = [g for g in uniq if g not in cache]
-    if missing:
-        if len(cache) + len(missing) > _CACHE_CAP:
-            cache.clear()
-        for g in missing:
-            cache[g] = md5_bucket(g, num_feats)
-    buckets = grams.map(cache).to_numpy(np.int64)
+    local = {g: cache[g] if g in cache
+             else memo(cache, g, lambda: md5_bucket(g, num_feats), _CACHE_CAP)
+             for g in pd.unique(grams.to_numpy(object))}
+    buckets = grams.map(local).to_numpy(np.int64)
     doc_ids = ids.to_numpy(np.int64)[gram_rows]
     return doc_ids, buckets
 

@@ -28,6 +28,7 @@ import ray
 from gdal_ray.config import CELL_LEVEL
 from gdal_ray.geo import cells as CL
 from gdal_ray.geo import mercator as M
+from gdal_ray.ops.runtime import memo
 
 __all__ = ["build_centroid_cell_index", "KnnStage", "knn_batch", "knn_shuffle"]
 
@@ -70,10 +71,9 @@ class KnnStage:
         self._gather_cache: dict = {}
 
     def _gather(self, cell: int, ring: int):
-        key = (cell, ring)
-        hit = self._gather_cache.get(key)
-        if hit is not None:
-            return hit
+        return memo(self._gather_cache, (cell, ring), lambda: self._build_gather(cell, ring), 4096)
+
+    def _build_gather(self, cell: int, ring: int):
         ids_list, rank_list, xy_list = [], [], []
         for c in CL.k_ring(cell, ring):
             ent = self.index["cells"].get(int(c))
@@ -82,13 +82,8 @@ class KnnStage:
                 rank_list.append(ent[1])
                 xy_list.append(ent[2])
         if not ids_list:
-            out = (np.empty(0, dtype="U16"), np.empty(0, dtype=np.int64), np.empty((0, 2)))
-        else:
-            out = (np.concatenate(ids_list), np.concatenate(rank_list), np.concatenate(xy_list))
-        if len(self._gather_cache) > 4096:
-            self._gather_cache.clear()
-        self._gather_cache[key] = out
-        return out
+            return np.empty(0, dtype="U16"), np.empty(0, dtype=np.int64), np.empty((0, 2))
+        return np.concatenate(ids_list), np.concatenate(rank_list), np.concatenate(xy_list)
 
     def _query_one(self, cell: int, qx: float, qy: float, k: int):
         ring = 1
@@ -353,9 +348,4 @@ _STAGE_CACHE: dict = {}
 def knn_batch(batch: pa.Table, index_ref) -> pa.Table:
     """Task-pool form of KnnStage with a per-worker-process index cache."""
     key = index_ref.hex() if hasattr(index_ref, "hex") else id(index_ref)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        _STAGE_CACHE.clear()
-        stage = KnnStage(index_ref)
-        _STAGE_CACHE[key] = stage
-    return stage(batch)
+    return memo(_STAGE_CACHE, key, lambda: KnnStage(index_ref), 1)(batch)

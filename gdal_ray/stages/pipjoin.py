@@ -29,6 +29,7 @@ from gdal_ray.config import CELL_LEVEL
 from gdal_ray.geo import cells as CL
 from gdal_ray.geo import pip as P
 from gdal_ray.geo import wkb as W
+from gdal_ray.ops.runtime import memo
 
 __all__ = ["build_polygon_cell_index", "PipJoinStage", "pip_join_batch"]
 
@@ -134,12 +135,7 @@ _STAGE_CACHE: dict = {}
 
 def pip_join_batch(batch: pa.Table, index_ref, id_col: str = "src_id") -> pa.Table:
     key = index_ref.hex() if hasattr(index_ref, "hex") else id(index_ref)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        _STAGE_CACHE.clear()
-        stage = PipJoinStage(index_ref, id_col)
-        _STAGE_CACHE[key] = stage
-    return stage(batch)
+    return memo(_STAGE_CACHE, (key, id_col), lambda: PipJoinStage(index_ref, id_col), 1)(batch)
 
 
 def explode_polygon_covers(batch: pa.Table, level: int = CELL_LEVEL) -> pa.Table:

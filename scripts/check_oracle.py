@@ -75,20 +75,9 @@ def main(sf_dir: str, only=None):
 
     DataContext.get_current().enable_progress_bars = False
 
-    import logging
+    from gdal_ray.ops.runtime import drop_schema_noise
 
-    class _DropSchemaNoise(logging.Filter):
-        """Ray 2.49 logs a per-0-row-block 'RefBundle with a different
-        schema' WARNING for surplus hash partitions (documented at
-        ops/shuffle.py) — harmless, drop it from driver logs."""
-
-        def filter(self, rec):
-            return ("RefBundle with a different schema"
-                    not in rec.getMessage())
-
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).addFilter(_DropSchemaNoise())
+    drop_schema_noise()
 
     con = duckdb.connect()
     for t in TABLES:

@@ -82,3 +82,21 @@ def test_bpe_token_stats_end_to_end(docs_ds):
     # fertility >= 1 subtoken per word for non-empty docs
     ne = out[out["n_words"] > 0]
     assert (ne["n_subtokens"] >= ne["n_words"]).all()
+
+
+def test_encode_with_capped_cache(monkeypatch):
+    """A word cache capped below a batch's distinct words gives the same
+    rows as an uncapped one, on a cold and on a warm cache."""
+    import pyarrow as pa
+
+    from gdal_ray.stages import bpe
+
+    merges = train_bpe(SENNRICH, num_merges=4)
+    batch = pa.table({"doc_id": [d for d, _ in DOCS],
+                      "text": [t for _, t in DOCS]})
+    want = bpe._Encode(merges, "doc_id", "text")(batch)
+    monkeypatch.setattr(bpe, "_CACHE_CAP", 2)
+    enc = bpe._Encode(merges, "doc_id", "text")
+    assert enc(batch).equals(want)
+    assert enc(batch).equals(want)
+    assert len(enc.cache) <= 2

@@ -122,3 +122,21 @@ def test_quantization_boundary_margin(docs_ds):
                    - math.log((c_raw[b] + 0.5) / (sr + 0.5 * B)))
             frac = abs((lam * 1e6 + 0.5) % 1.0)
             assert min(frac, 1.0 - frac) > 1e-6
+
+
+def test_gram_buckets_with_capped_cache(monkeypatch):
+    """A gram cache at its cap is evicted between lookups, never under a
+    batch: grams already cached before the batch keep their buckets."""
+    import pyarrow as pa
+
+    from gdal_ray.stages import dsir
+
+    batch = pa.table({"doc_id": [d for d, _, _ in DOCS],
+                      "text": [t for _, t, _ in DOCS]})
+    want_ids, want = dsir._doc_gram_buckets(batch, {}, B, "doc_id", "text")
+    monkeypatch.setattr(dsir, "_CACHE_CAP", 2)
+    cache = {g: md5_bucket(g, B) for g in ("the", "cat")}
+    got_ids, got = dsir._doc_gram_buckets(batch, cache, B, "doc_id", "text")
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got, want)
+    assert len(cache) <= 2

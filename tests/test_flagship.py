@@ -37,6 +37,46 @@ def test_pip_join_exact(ray_session, corpus, placed):
     assert all_got == _setof(want, ["src_id", "poly_id"])
 
 
+_TWO_SESSIONS = """
+import sys
+
+import ray
+from ray.data import DataContext
+
+from gdal_ray.pipelines import flagship as F
+
+for _ in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+    DataContext.get_current().enable_progress_bars = False
+    print("COUNT", F.pip_join_query_points(sys.argv[1]).count())
+    ray.shutdown()
+"""
+
+
+def test_broadcast_pip_after_ray_restart(ray_session, corpus):
+    """The cached polygon-index broadcast belongs to one Ray session: after
+    ray.shutdown(); ray.init() in the same process the broadcast PIP must
+    build a fresh ref, not reuse the dead session's. Runs in a subprocess
+    so the shared test session is left alone."""
+    import os
+    import subprocess
+    import sys
+
+    from gdal_ray.pipelines import flagship as F
+
+    want = F.pip_join_query_points(corpus).count()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.run([sys.executable, "-c", _TWO_SESSIONS, corpus], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    counts = [ln.split()[1] for ln in proc.stdout.splitlines() if ln.startswith("COUNT ")]
+    assert counts == [str(want), str(want)]
+
+
 def test_knn_exact(ray_session, corpus):
     from gdal_ray.pipelines import flagship as F
 
