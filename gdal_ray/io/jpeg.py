@@ -10,20 +10,26 @@ Huffman coding with the ITU T.81 Annex-K typical tables, JFIF container
   4:2:0, interleaved single scan. Output decodes in any standard viewer.
 - ``decode_jpeg``: baseline sequential decoder (SOF0), arbitrary Huffman /
   quant tables from the stream, sampling factors 1-2, restart markers.
+  ``decode_jpegs`` decodes many streams together.
 
-The DCT/IDCT and dequantization are fully vectorized over all blocks; the
-entropy coder is the only sequential loop (LUT-driven, ~1 µs/symbol).
+The decoder's only Python loop is the entropy walk: a 16-bit peek and two
+table lookups per step of one or two symbols, 0.2-0.35 µs a step on a
+1-vCPU Xeon VM (about 2,700 steps for a 114x114 4:4:4 image at q92).
+Symbol values, DC prediction, dequantization, IDCT and colour conversion
+run as numpy over every block of a chunk of streams.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+from array import array
 
 import numpy as np
 
 from gdal_ray.ops.runtime import memo
 
-__all__ = ["encode_jpeg", "decode_jpeg"]
+__all__ = ["encode_jpeg", "decode_jpeg", "decode_jpegs"]
 
 # --- constants (ITU T.81 / JFIF, public spec) ------------------------------
 
@@ -147,35 +153,6 @@ def _canonical_codes(bits, vals):
             k += 1
         code <<= 1
     return codes
-
-
-_LUT_CACHE: dict = {}
-
-
-def _decode_lut(bits, vals):
-    """16-bit-peek LUT: (sym[65536], len[65536]) as Python lists.
-
-    Cached on the table definition — rebuilding costs ~5 ms and every
-    standard-table stream hits the cache."""
-    return memo(_LUT_CACHE, (tuple(bits), tuple(vals)), lambda: _build_lut(bits, vals), 32)
-
-
-def _build_lut(bits, vals):
-    sym = np.zeros(65536, dtype=np.int32)
-    length = np.zeros(65536, dtype=np.int32)
-    code = 0
-    k = 0
-    for ln in range(1, 17):
-        for _ in range(bits[ln - 1]):
-            v = vals[k]
-            base = code << (16 - ln)
-            span = 1 << (16 - ln)
-            sym[base : base + span] = v
-            length[base : base + span] = ln
-            code += 1
-            k += 1
-        code <<= 1
-    return sym.tolist(), length.tolist()
 
 
 # --- forward path ----------------------------------------------------------
@@ -394,22 +371,125 @@ def _upsample2(p: np.ndarray, axis: int) -> np.ndarray:
 
 
 # --- decoder ----------------------------------------------------------------
+#
+# Entropy decode is split in two. The walk (``_walk``) is the only Python
+# loop: at the current bit offset it takes the next 16 bits (one numpy pass
+# computes them for every offset of the stream), looks up the bits the next
+# step consumes and how far it advances the coefficient index, and records
+# where the step starts. A step is one symbol, or two when both codes lie in
+# the 16 bits. Everything after the walk (symbol and magnitude lookup, sign
+# extension, zigzag index, DC prediction, dequantization, IDCT, colour) runs
+# as numpy over every symbol of a chunk of streams at once.
 
-def _extend(v: int, size: int) -> int:
-    return v - (1 << size) + 1 if v < (1 << (size - 1)) else v
+_END = re.compile(rb"\xff[^\x00\xd0-\xd7]")  # first marker past the scan data
+_RST = re.compile(rb"\xff[\xd0-\xd7]")
+_PAD = bytes(4)  # after every segment: peeks past its end read zero bits
+_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
+_CHUNK_COEFS = 1 << 17  # coefficients per decode chunk; bounds transient memory
+_HALF = (1 << np.arange(16)) >> 1  # EXTEND: a value below 2^(s-1) is negative ...
+_SPAN = (1 << np.arange(16)) - 1  # ... and is shifted down by 2^s - 1
+_EOB = 128  # step advance of EOB: a block that ends on EOB leaves k in 129..191
+# a block ends with k == 64 (filled) or on an EOB; any other k is a paired
+# step that ran past the block end (``_unpair``) or a corrupt run
+_BAD_END = bytes(64 < k <= 128 or k >= 192 for k in range(256))
+_BAD_AC = np.array([(rs & 15) == 0 and rs not in (0x00, 0xF0) for rs in range(256)])
+
+_LUT_CACHE: dict = {}
 
 
-def decode_jpeg(buf: bytes) -> np.ndarray:
-    """JFIF bytes -> uint8 (H, W, C). Baseline sequential (SOF0) only."""
+class _Huff:
+    """One Huffman table as tables indexed by the next 16 bits of the
+    stream. An unassigned code has length 0 and symbol 0 (an AC one ends the
+    block).
+
+    ``code`` (uint16): symbol | code length << 8 | pair << 13. The walk
+    tables are bytes: ``adv`` = bits one step consumes, ``dk`` (AC) = the
+    step's coefficient index advance (run+1, 16 for ZRL, ``_EOB`` for EOB).
+    An AC step takes two symbols (``pair``) when the first is a coefficient
+    and the second's code lies inside the same 16 bits; ``adv1``/``dk1``
+    are the first symbol's alone."""
+
+    __slots__ = ("key", "code", "adv", "dk", "adv1", "dk1")
+
+
+def _decode_lut(tc: int, spec: bytes) -> _Huff:
+    """The ``_Huff`` of class ``tc`` (0 DC, 1 AC) from its DHT bytes (16
+    code counts, then the symbols), cached on them: standard-table streams
+    all hit."""
+    return memo(_LUT_CACHE, (tc, spec), lambda: _build_lut(tc, spec), 32)
+
+
+def _build_lut(tc: int, spec: bytes) -> _Huff:
+    bits, vals = spec[:16], spec[16:]
+    sym = np.zeros(65536, dtype=np.uint8)
+    length = np.zeros(65536, dtype=np.uint8)
+    code = 0
+    k = 0
+    for ln in range(1, 17):
+        for _ in range(bits[ln - 1]):
+            base = code << (16 - ln)
+            sym[base : base + (1 << (16 - ln))] = vals[k]
+            length[base : base + (1 << (16 - ln))] = ln
+            code += 1
+            k += 1
+        code <<= 1
+    t = _Huff()
+    t.key = (tc, spec)
+    t.code = sym | length.astype(np.uint16) << 8
+    if tc == 0:
+        if (sym > 15).any():  # libjpeg rejects these tables too
+            raise ValueError("corrupt JPEG: DC Huffman value above 15")
+        t.adv = (length + sym).tobytes()
+        return t
+    adv1 = length + (sym & 15)
+    dk1 = np.where(sym == 0, _EOB, (sym >> 4) + 1).astype(np.uint8)
+    after = (np.arange(65536, dtype=np.uint32) << adv1) & 0xFFFF  # the bits after symbol 1
+    len2, sym2 = length[after], sym[after]
+    pair = ((sym & 15) > 0) & (len2 > 0) & (adv1 + len2.astype(np.intp) <= 16)
+    dk2 = np.where(sym2 == 0, _EOB, (sym2 >> 4) + 1)
+    t.adv = np.where(pair, adv1 + len2 + (sym2 & 15), adv1).astype(np.uint8).tobytes()
+    t.dk = np.where(pair, dk1 + dk2, dk1).astype(np.uint8).tobytes()
+    t.code |= pair.astype(np.uint16) << 13
+    t.adv1, t.dk1 = adv1.tobytes(), dk1.tobytes()
+    return t
+
+
+def _dequant(spec: bytes) -> np.ndarray:
+    """Natural-order float64 quant table from its DQT bytes (zigzag order;
+    1 byte per entry, or 2 big-endian), cached on them."""
+    def build():
+        t = np.zeros(64)
+        t[_ZZ] = np.frombuffer(spec, dtype=">u2" if len(spec) == 128 else np.uint8)
+        return t
+
+    return memo(_LUT_CACHE, spec, build, 32)
+
+
+def _bank(huffs) -> np.ndarray:
+    """The ``code`` tables of ``huffs`` end to end (table i at i * 65536)."""
+    key = ("bank",) + tuple(h.key for h in huffs)
+    return memo(_LUT_CACHE, key, lambda: np.concatenate([h.code for h in huffs]), 32)
+
+
+class _Frame:
+    """One stream's header: size, MCU grid, components
+    ``(h, v, natural-order quant table, dc _Huff, ac _Huff)`` in frame
+    order, restart interval, and the entropy-coded segments (unstuffed,
+    split at RSTn)."""
+
+    __slots__ = ("h", "w", "comps", "ri", "parts", "mx", "my", "key", "ncoef")
+
+
+def _parse(buf: bytes) -> _Frame:
     if buf[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG (missing SOI)")
     pos = 2
     qtabs: dict[int, np.ndarray] = {}
-    huff: dict[tuple[int, int], tuple[list, list]] = {}
-    comps = None
+    huff: dict[tuple[int, int], _Huff] = {}
+    sof = None
     h = w = 0
     restart_interval = 0
-    scan_comps = None
+    scan = None
     data_start = None
     n = len(buf)
     while pos < n:
@@ -427,234 +507,305 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
         if marker == 0xDB:  # DQT
             off = 0
             while off < len(seg):
-                pq, tq = seg[off] >> 4, seg[off] & 0x0F
-                off += 1
-                if pq:
-                    vals = np.frombuffer(seg[off : off + 128], dtype=">u2").astype(np.int32)
-                    off += 128
-                else:
-                    vals = np.frombuffer(seg[off : off + 64], dtype=np.uint8).astype(np.int32)
-                    off += 64
-                t = np.zeros(64, dtype=np.int32)
-                t[_ZZ] = vals
-                qtabs[tq] = t.reshape(8, 8)
+                size = 128 if seg[off] >> 4 else 64
+                qtabs[seg[off] & 0x0F] = _dequant(seg[off + 1 : off + 1 + size])
+                off += 1 + size
         elif marker == 0xC4:  # DHT
             off = 0
             while off < len(seg):
-                tc, th = seg[off] >> 4, seg[off] & 0x0F
-                bits = list(seg[off + 1 : off + 17])
-                nv = sum(bits)
-                vals = list(seg[off + 17 : off + 17 + nv])
-                huff[(tc, th)] = _decode_lut(bits, vals)
+                nv = sum(seg[off + 1 : off + 17])
+                huff[(seg[off] >> 4, seg[off] & 0x0F)] = _decode_lut(seg[off] >> 4, seg[off + 1 : off + 17 + nv])
                 off += 17 + nv
         elif marker == 0xC0 or marker == 0xC1:  # SOF0/1 (baseline/ext seq)
             prec, h, w, nc = struct.unpack_from(">BHHB", seg, 0)
             if prec != 8:
                 raise NotImplementedError("only 8-bit JPEG supported")
-            comps = []
-            for ci in range(nc):
-                cid, sampling, tq = struct.unpack_from("BBB", seg, 6 + 3 * ci)
-                comps.append({"id": cid, "h": sampling >> 4, "v": sampling & 0x0F, "tq": tq})
+            if nc not in (1, 3):
+                raise NotImplementedError("only 1- or 3-component JPEG supported")
+            sof = [struct.unpack_from("BBB", seg, 6 + 3 * ci) for ci in range(nc)]
         elif marker in (0xC2, 0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):
             raise NotImplementedError("only baseline sequential JPEG supported")
         elif marker == 0xDD:  # DRI
             (restart_interval,) = struct.unpack_from(">H", seg, 0)
         elif marker == 0xDA:  # SOS
-            ns = seg[0]
-            scan_comps = []
-            for ci in range(ns):
-                cid, tt = seg[1 + 2 * ci], seg[2 + 2 * ci]
-                scan_comps.append({"id": cid, "dc": tt >> 4, "ac": tt & 0x0F})
+            scan = {seg[1 + 2 * ci]: seg[2 + 2 * ci] for ci in range(seg[0])}
             data_start = pos + seglen
             break
         pos += seglen
-    if comps is None or scan_comps is None:
+    if sof is None or scan is None:
         raise ValueError("truncated JPEG (no SOF/SOS)")
 
-    # entropy segment: unstuff FF00 -> FF, note restart markers
-    raw = buf[data_start:]
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    ffpos = np.nonzero(arr[:-1] == 0xFF)[0]
-    end = len(arr)
-    for p in ffpos:
-        nxt = arr[p + 1]
-        if nxt != 0x00 and not (0xD0 <= nxt <= 0xD7):
-            end = p
-            break
-    seg_arr = arr[:end]
-    # vectorized unstuff/split: drop the 0x00 after each 0xFF, cut at RSTn
-    ff = np.nonzero(seg_arr[:-1] == 0xFF)[0]
-    nxt = seg_arr[ff + 1]
-    drop = ff[nxt == 0x00] + 1          # stuffed zeros to delete
-    rst = ff[(nxt >= 0xD0) & (nxt <= 0xD7)]  # restart marker starts
-    keep = np.ones(len(seg_arr), dtype=bool)
-    keep[drop] = False
-    keep[rst] = False
-    keep[rst + 1] = False
-    # map restart positions into the compacted stream to split
-    if len(rst):
-        newpos = np.cumsum(keep)
-        cuts = newpos[rst] - 1 + 1  # count of kept bytes before the marker
-        clean = seg_arr[keep].tobytes()
-        parts = []
-        prev = 0
-        for cpos in cuts:
-            parts.append(clean[prev:cpos])
-            prev = cpos
-        parts.append(clean[prev:])
-    else:
-        parts = [seg_arr[keep].tobytes()]
+    f = _Frame()
+    f.h, f.w, f.ri = h, w, restart_interval
+    f.comps = [
+        (s >> 4, s & 0x0F, qtabs[tq], huff[(0, scan[cid] >> 4)], huff[(1, scan[cid] & 0x0F)])
+        for cid, s, tq in sof
+    ]
+    hmax = max(c[0] for c in f.comps)
+    vmax = max(c[1] for c in f.comps)
+    f.mx = -(-w // (8 * hmax))
+    f.my = -(-h // (8 * vmax))
+    f.key = tuple((c[0], c[1], id(c[2]), c[3].key, c[4].key) for c in f.comps)
+    f.ncoef = f.mx * f.my * 64 * sum(c[0] * c[1] for c in f.comps)
+    m = _END.search(buf, data_start)
+    scan_data = buf[data_start : m.start() if m else n]
+    f.parts = [p.replace(b"\xff\x00", b"\xff") for p in _RST.split(scan_data)]
+    return f
 
-    hmax = max(c["h"] for c in comps)
-    vmax = max(c["v"] for c in comps)
-    mcus_x = -(-w // (8 * hmax))
-    mcus_y = -(-h // (8 * vmax))
-    by_id = {c["id"]: c for c in comps}
-    for sc in scan_comps:
-        c = by_id[sc["id"]]
-        c["dc_lut"] = huff[(0, sc["dc"])]
-        c["ac_lut"] = huff[(1, sc["ac"])]
-    for c in comps:
-        c["bw"] = mcus_x * c["h"]
-        c["bh"] = mcus_y * c["v"]
-        # coefficients collected in ZIGZAG order as flat (block*64 + k)
-        # index/value lists; de-zigzagged vectorized after the scan loop
-        c["idx"] = []
-        c["val"] = []
 
-    n_mcu = mcus_x * mcus_y
-    mcu_per_part = restart_interval if restart_interval else n_mcu
-    mcu_idx = 0
-    for part in parts:
-        # inlined bit reader (locals, no method-call overhead in the hot
-        # loop); zero-padding keeps the 4-byte bulk refills in bounds
-        part = part + b"\x00" * 64
-        dpos = 0
-        acc = 0
-        bits = 0
-        pred = {c["id"]: 0 for c in comps}
-        limit = min(n_mcu, mcu_idx + mcu_per_part)
-        while mcu_idx < limit:
-            my, mx = divmod(mcu_idx, mcus_x)
-            for c in comps:
-                dc_sym, dc_len = c["dc_lut"]
-                ac_sym, ac_len = c["ac_lut"]
-                cidx = c["idx"]
-                cval = c["val"]
-                cbw = c["bw"]
-                ch = c["h"]
-                cv = c["v"]
-                cid = c["id"]
-                for by in range(cv):
-                    for bx in range(ch):
-                        bi64 = ((my * cv + by) * cbw + mx * ch + bx) << 6
-                        if bits < 16:
-                            acc = (acc << 32) | int.from_bytes(
-                                part[dpos : dpos + 4], "big"
-                            )
-                            dpos += 4
-                            bits += 32
-                            acc &= 0xFFFFFFFFFFFF
-                        p16 = (acc >> (bits - 16)) & 0xFFFF
-                        s = dc_sym[p16]
-                        bits -= dc_len[p16]
-                        if s:
-                            if bits < s:
-                                acc = (acc << 32) | int.from_bytes(
-                                    part[dpos : dpos + 4], "big"
-                                )
-                                dpos += 4
-                                bits += 32
-                                acc &= 0xFFFFFFFFFFFF
-                            v = (acc >> (bits - s)) & ((1 << s) - 1)
-                            bits -= s
-                            diff = v - (1 << s) + 1 if v < (1 << (s - 1)) else v
-                        else:
-                            diff = 0
-                        pred[cid] += diff
-                        cidx.append(bi64)
-                        cval.append(pred[cid])
-                        k = 1
-                        while k < 64:
-                            if bits < 16:
-                                acc = (acc << 32) | int.from_bytes(
-                                    part[dpos : dpos + 4], "big"
-                                )
-                                dpos += 4
-                                bits += 32
-                                acc &= 0xFFFFFFFFFFFF
-                            p16 = (acc >> (bits - 16)) & 0xFFFF
-                            rs = ac_sym[p16]
-                            bits -= ac_len[p16]
-                            if rs == 0x00:  # EOB
-                                break
-                            if rs == 0xF0:  # ZRL
-                                k += 16
-                                continue
-                            k += rs >> 4
-                            size = rs & 0x0F
-                            if k > 63:
-                                break
-                            if bits < size:
-                                acc = (acc << 32) | int.from_bytes(
-                                    part[dpos : dpos + 4], "big"
-                                )
-                                dpos += 4
-                                bits += 32
-                                acc &= 0xFFFFFFFFFFFF
-                            v = (acc >> (bits - size)) & ((1 << size) - 1)
-                            bits -= size
-                            cidx.append(bi64 + k)
-                            cval.append(
-                                v - (1 << size) + 1 if v < (1 << (size - 1)) else v
-                            )
-                            k += 1
-                        acc &= (1 << bits) - 1
-            mcu_idx += 1
-        if mcu_idx >= n_mcu:
-            break
+def _walk(peek, q: int, n_mcu: int, spec, dstarts, astarts, unpaired) -> int:
+    """Follow ``n_mcu`` MCUs of symbols from bit ``q``, appending where each
+    DC symbol and each AC step starts. ``peek[q]`` is the 16 bits at bit
+    ``q``; ``spec`` has one ``(dc adv, ac dk, ac adv, ac _Huff)`` per block
+    of the MCU. Returns the bit offset after the last block."""
+    dput, aput, bad_end = dstarts.append, astarts.append, _BAD_END
+    for _ in range(n_mcu):
+        for dadv, dk, aadv, ac in spec:
+            dput(q)
+            q += dadv[peek[q]]
+            k = 1
+            while k < 64:
+                aput(q)
+                p = peek[q]
+                k += dk[p]
+                q += aadv[p]
+            if bad_end[k]:
+                q = _unpair(peek, astarts, unpaired, ac, k)
+    return q
 
-    dct = _dct_matrix()
-    planes = []
-    inv_zz = np.empty(64, dtype=np.int64)
-    inv_zz[_ZZ] = np.arange(64)
-    for c in comps:
-        coef_zz = np.zeros((c["bh"] * c["bw"], 64), dtype=np.int32)
-        if c["idx"]:
-            flat = np.asarray(c["idx"], dtype=np.int64)
-            coef_zz[flat >> 6, flat & 63] = np.asarray(c["val"], dtype=np.int32)
-        coef_nat = coef_zz[:, inv_zz]
-        qt = qtabs[c["tq"]].reshape(64).astype(np.float64)
-        coef = coef_nat.astype(np.float64) * qt[None, :]
-        blocks = coef.reshape(-1, 8, 8)
-        pix = np.einsum("xu,nuv,yv->nxy", dct.T, blocks, dct.T, optimize=True)
-        bw, bh = c["bw"], c["bh"]
-        plane = (
-            pix.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-        )
-        plane += 128.0
-        # upsample to full MCU-grid resolution: triangle filter for 2x
-        # (libjpeg "fancy upsampling", weights 3/4 + 1/4), repeat otherwise
-        if c["v"] != vmax:
-            f = vmax // c["v"]
-            if f == 2:
-                plane = _upsample2(plane, axis=0)
-            else:
-                plane = np.repeat(plane, f, axis=0)
-        if c["h"] != hmax:
-            f = hmax // c["h"]
-            if f == 2:
-                plane = _upsample2(plane, axis=1)
-            else:
-                plane = np.repeat(plane, f, axis=1)
-        planes.append(plane[: mcus_y * 8 * vmax, : mcus_x * 8 * hmax])
 
+def _unpair(peek, astarts, unpaired, ac: _Huff, k: int) -> int:
+    """The block's last step took two symbols but the first already filled
+    the block (a coefficient at zigzag 63, so no EOB): the second is the
+    next block's. Records the step as one symbol; returns the bit offset
+    after it."""
+    q = astarts[-1]
+    p = peek[q]
+    if k - ac.dk[p] + ac.dk1[p] != 64:
+        raise ValueError("corrupt JPEG: AC run past the block end")
+    unpaired.append(len(astarts) - 1)
+    return q + ac.adv1[p]
+
+
+def _symbols(peek, starts, bank, toff):
+    """(symbol, signed value) of the symbols starting at bits ``starts``,
+    each decoded by the bank table at offset ``toff``. The low nibble of a
+    symbol is its magnitude size: for DC symbols (<= 15) that is the symbol."""
+    e = bank[peek[starts] + toff]
+    ln = (e >> 8) & 31
+    if not ln.all():
+        raise ValueError("corrupt JPEG: invalid Huffman code")
+    rs = (e & 0xFF).astype(np.intp)
+    s = rs & 15
+    v = peek[starts + ln] >> (16 - s)
+    return rs, v - (v < _HALF[s]) * _SPAN[s]  # T.81 EXTEND
+
+
+def _idct(coef: np.ndarray) -> np.ndarray:
+    """(n, 64) dequantized natural-order coefficients -> (n, 8, 8) samples."""
+    d = _dct_matrix()
+    return d.T @ coef.reshape(-1, 8, 8) @ d
+
+
+def decode_jpeg(buf: bytes) -> np.ndarray:
+    """JFIF bytes -> uint8 (H, W, C). Baseline sequential (SOF0/1) only;
+    raises ValueError on a truncated or corrupt scan."""
+    return decode_jpegs([buf])[0]
+
+
+def decode_jpegs(bufs) -> list:
+    """``decode_jpeg`` of each stream. Streams with the same component layout
+    and Huffman tables decode together, in chunks of at most
+    ``_CHUNK_COEFS`` coefficients, so each numpy stage runs once per chunk."""
+    frames = [_parse(b) for b in bufs]
+    groups: dict = {}
+    for i, f in enumerate(frames):
+        groups.setdefault(f.key, []).append(i)
+    out = [None] * len(frames)
+    for idx in groups.values():
+        lo = 0
+        while lo < len(idx):
+            hi, ncoef = lo + 1, frames[idx[lo]].ncoef
+            while hi < len(idx) and ncoef + frames[idx[hi]].ncoef <= _CHUNK_COEFS:
+                ncoef += frames[idx[hi]].ncoef
+                hi += 1
+            for i, img in zip(idx[lo:hi], _decode_chunk([frames[i] for i in idx[lo:hi]])):
+                out[i] = img
+            lo = hi
+    return out
+
+
+def _decode_chunk(frames) -> list:
+    comps = frames[0].comps
+    ncomp = len(comps)
+    # component of each block of an MCU, in decode order
+    slot = [ci for ci, c in enumerate(comps) for _ in range(c[0] * c[1])]
+    bpm = len(slot)
+
+    # one stream over every segment of every frame, peeked at every bit offset
+    pieces, segs, off = [], [], 0
+    for f in frames:
+        f_segs = []
+        for p in f.parts:
+            pieces += (p, _PAD)
+            f_segs.append((off * 8, (off + len(p)) * 8))
+            off += len(p) + len(_PAD)
+        segs.append(f_segs)
+    a = np.frombuffer(b"".join(pieces), dtype=np.uint8).astype(np.uint32)
+    peek = (((a[:-2] << 16) | (a[1:-1] << 8) | a[2:])[:, None] >> _SHIFTS).astype(np.uint16).ravel()
+
+    dstarts, astarts, seg_first, unpaired = array("q"), array("q"), array("q"), []
+    spec = [(comps[ci][3].adv, comps[ci][4].dk, comps[ci][4].adv, comps[ci][4]) for ci in slot]
+    peek_at = memoryview(peek)
+    for f, f_segs in zip(frames, segs):
+        n_mcu = f.mx * f.my
+        done = 0
+        for s0, s1 in f_segs:
+            if done == n_mcu:
+                break
+            n = min(f.ri or n_mcu, n_mcu - done)
+            seg_first.append(len(dstarts) // bpm)
+            try:
+                q = _walk(peek_at, s0, n, spec, dstarts, astarts, unpaired)
+            except IndexError:
+                q = s1 + 1
+            if q > s1:
+                raise ValueError("corrupt JPEG: entropy-coded segment overruns its data")
+            done += n
+        if done < n_mcu:
+            raise ValueError("truncated JPEG: entropy-coded data ends early")
+    dpos = np.frombuffer(dstarts, dtype=np.int64)
+    steps = np.frombuffer(astarts, dtype=np.int64)
+    nblk = len(dpos)
+
+    # every symbol decodes through its block's tables, which sit in the bank
+    # at an offset per MCU column; a paired AC step's second symbol starts
+    # where its first ends
+    huffs = list({id(h): h for c in comps for h in c[3:]}.values())
+    tid = {id(h): i * 65536 for i, h in enumerate(huffs)}
+    bank = _bank(huffs)
+    col = np.arange(nblk) % bpm
+    dc_off, ac_off = np.array([[tid[id(comps[ci][3])], tid[id(comps[ci][4])]] for ci in slot]).T
+    sblk = dpos.searchsorted(steps) - 1
+    ac_off = ac_off[col[sblk]]
+    e = bank[peek[steps] + ac_off]
+    paired = (e >> 13).astype(bool)
+    paired[unpaired] = False
+    e = e[paired]
+    second = steps[paired] + ((e >> 8) & 31) + (e & 15)
+    nsteps = len(steps)
+    rs, val = _symbols(peek, np.concatenate([dpos, steps, second]), bank,
+                       np.concatenate([dc_off[col], ac_off, ac_off[paired]]))
+    diff, rs, val = val[:nblk], rs[nblk:], val[nblk:]
+
+    # DC: running sum of each component's differences in decode order,
+    # restarting at every restart segment (and every image)
+    comp, rows = np.array(slot)[col], np.arange(nblk)
+    onehot = np.zeros((nblk, ncomp), dtype=np.int64)
+    onehot[rows, comp] = diff
+    run = onehot.cumsum(axis=0)
+    if len(seg_first) > 1:
+        first = np.frombuffer(seg_first, dtype=np.int64) * bpm
+        run -= (run[first] - onehot[first]).repeat(np.diff(first, append=nblk), axis=0)
+    dc = run[rows, comp]
+
+    # AC: a symbol's zigzag index is its block's running sum of index
+    # advances (run + 1) through it; a coefficient is a symbol with a
+    # magnitude (its value is never 0)
+    if _BAD_AC[rs].any():
+        raise ValueError("corrupt JPEG: AC symbol with no magnitude")
+    adv = (rs >> 4) + 1
+    step = adv[:nsteps].copy()
+    step[paired] += adv[nsteps:]
+    zz = step.cumsum()
+    zz -= (zz - step)[steps.searchsorted(dpos)][sblk]
+    zz = np.concatenate([zz - step + adv[:nsteps], zz[paired]])
+    blk = np.concatenate([sblk, sblk[paired]])
+    nz = val != 0
+    blk, zz, val = blk[nz], zz[nz], val[nz]
+    if len(zz) and zz.max() > 63:
+        raise ValueError("corrupt JPEG: AC coefficient past the block end")
+    nat = _ZZ[zz]
+
+    # dequantize (each MCU column has its component's table) into one plane
+    # of blocks per MCU column, and transform
+    n_mcu = nblk // bpm
+    qt = np.array([comps[ci][2] for ci in slot])
+    coef = np.zeros((bpm, n_mcu, 64))
+    coef[:, :, 0] = (dc * qt[col, 0]).reshape(n_mcu, bpm).T
+    bcol = col[blk]
+    coef.ravel()[(bcol * n_mcu + blk // bpm) * 64 + nat] = val * qt.ravel()[bcol * 64 + nat]
+    pix = _idct(coef).reshape(bpm, n_mcu, 8, 8)
+    pix += 128.0
+
+    if len({c[:2] for c in comps}) == 1:
+        return _assemble_blocks(frames, pix, comps[0][0], comps[0][1])
+    return _assemble_planes(frames, pix, slot)
+
+
+def _to_u8(x: np.ndarray) -> np.ndarray:
+    """Round half to even, clip to 0..255, cast (``x`` is overwritten)."""
+    np.rint(x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 255.0, out=x)
+    return x.astype(np.uint8)
+
+
+def _ycc_u8(planes) -> np.ndarray:
+    """Y, or Y Cb Cr, sample planes -> uint8 gray or R G B planes, stacked on
+    a new first axis (the planes may be overwritten)."""
     if len(planes) == 1:
-        out = planes[0][:h, :w]
-        return np.clip(np.round(out), 0, 255).astype(np.uint8)[:, :, None]
-    y, cb, cr = (p[:h, :w] for p in planes)
-    r = y + 1.402 * (cr - 128.0)
-    g = y - 0.344136286 * (cb - 128.0) - 0.714136286 * (cr - 128.0)
-    b = y + 1.772 * (cb - 128.0)
-    out = np.stack([r, g, b], axis=2)
-    return np.clip(np.round(out), 0, 255).astype(np.uint8)
+        return _to_u8(planes[0][None])
+    y, cb, cr = planes
+    cb = cb - 128.0
+    cr = cr - 128.0
+    rgb = np.empty((3,) + y.shape)
+    np.add(y, 1.402 * cr, out=rgb[0])
+    np.subtract(y, 0.344136286 * cb, out=rgb[1])
+    rgb[1] -= 0.714136286 * cr
+    np.add(y, 1.772 * cb, out=rgb[2])
+    return _to_u8(rgb)
+
+
+def _assemble_blocks(frames, pix, ch, cv) -> list:
+    """Every component sampled alike: colour-convert all blocks of the chunk
+    at once, then lay each image's uint8 blocks out as rows (no float
+    plane per image, as nothing needs upsampling)."""
+    px = _ycc_u8(pix.reshape(-1, cv, ch, *pix.shape[1:]))
+    out, m = [], 0
+    for f in frames:
+        img = np.empty((f.my * cv * 8, f.mx * ch * 8, len(px)), dtype=np.uint8)
+        grid = img.reshape(f.my, cv, 8, f.mx, ch, 8, -1)
+        for c, plane in enumerate(px[:, :, :, m : m + f.mx * f.my]):
+            grid[..., c] = plane.reshape(cv, ch, f.my, f.mx, 8, 8).transpose(2, 0, 4, 3, 1, 5)
+        out.append(img if img.shape[:2] == (f.h, f.w) else np.ascontiguousarray(img[: f.h, : f.w]))
+        m += f.mx * f.my
+    return out
+
+
+def _assemble_planes(frames, pix, slot) -> list:
+    """Subsampled components: per image, lay each component's blocks out as
+    a plane, upsample it to the MCU grid (triangle filter for 2x, libjpeg
+    "fancy upsampling"; repeat otherwise), crop and colour-convert."""
+    out, m = [], 0
+    for f in frames:
+        hmax = max(c[0] for c in f.comps)
+        vmax = max(c[1] for c in f.comps)
+        planes = []
+        for ci, (ch, cv, *_) in enumerate(f.comps):
+            j = slot.index(ci)
+            plane = pix[j : j + ch * cv, m : m + f.mx * f.my].reshape(cv, ch, f.my, f.mx, 8, 8)
+            plane = plane.transpose(2, 0, 4, 3, 1, 5).reshape(f.my * cv * 8, f.mx * ch * 8)
+            for axis, fac in ((0, vmax // cv), (1, hmax // ch)):
+                if fac == 2:
+                    plane = _upsample2(plane, axis=axis)
+                elif fac > 1:
+                    plane = np.repeat(plane, fac, axis=axis)
+            planes.append(plane[: f.h, : f.w])
+        px = _ycc_u8(planes)
+        img = np.empty(px.shape[1:] + (len(px),), dtype=np.uint8)
+        for c in range(len(px)):
+            img[..., c] = px[c]
+        out.append(img)
+        m += f.mx * f.my
+    return out

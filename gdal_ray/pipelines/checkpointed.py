@@ -91,7 +91,7 @@ def flagship_checkpointed(corpus_dir: str, out_dir: str):
     pending_ids = set(meta.unique("pid"))
 
     # full pipeline only for pending partitions' images
-    placed = F.placed_images(corpus_dir, decode=True).map_batches(
+    placed = F.decoded_places(corpus_dir).map_batches(
         add_pid, batch_format="pyarrow", batch_size=None
     )
     if done:

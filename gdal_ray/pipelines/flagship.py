@@ -6,12 +6,15 @@ re-expressed Ray-Data-first. Every image source here is ONE fused source,
 an images shard, appends the placement columns from the like-named
 placements shard (``_take_placements``, worker-cached) and runs ``kernel``
 on the result, so the raw image payload never enters the object store.
-``placed_images`` is that source with the decode + geo kernel
-(``decode=True``) or the geo kernel alone over (image_id, w, h). The
+``placed_images`` is that source with the decode-stats + geo kernel
+(``decode=True``) or the geo kernel alone over (image_id, w, h).
+``decoded_places`` is the headline's source: its kernel decodes every
+payload (the decode is part of the measured job and fails it on a corrupt
+payload) but computes none of the per-image stats the headline drops. The
 headline path (``flagship_single_pass``) adds no shuffle and no
 mid-pipeline materialization:
 
-    row-group read ─▶ placements merge ─▶ kernel (decode_stats, geo columns)
+    row-group read ─▶ placements merge ─▶ kernel (decode payloads, geo columns)
       ─▶ per-batch: explode_tiles  +  pip_join_batch(broadcast polygon index)
       ─▶ tagged (tile | pip) rows, streamed to the consumer
 
@@ -39,6 +42,7 @@ from gdal_ray.stages.knn import build_centroid_cell_index, knn_batch
 
 __all__ = [
     "decoded_meta",
+    "decoded_places",
     "placed_images",
     "tile_assignments",
     "pip_join_images",
@@ -58,7 +62,7 @@ def _default_partitions() -> int:
     return max(4, min(16, cluster_cpus() // 4))
 
 
-def decoded_meta(corpus_dir: str, keep_pixels=False) -> rd.Dataset:
+def decoded_meta(corpus_dir: str) -> rd.Dataset:
     """images -> decoded per-image metrics (bytes dropped).
 
     Decode is stateless -> plain task pool (elastic, no actor reservation
@@ -66,12 +70,7 @@ def decoded_meta(corpus_dir: str, keep_pixels=False) -> rd.Dataset:
     from gdal_ray.stages.decode import decode_stats
 
     images = SRC.read_images(corpus_dir)
-    return images.map_batches(
-        decode_stats,
-        fn_kwargs={"keep_pixels": keep_pixels},
-        batch_format="pyarrow",
-        batch_size=IMAGE_BATCH,
-    )
+    return images.map_batches(decode_stats, batch_format="pyarrow", batch_size=IMAGE_BATCH)
 
 
 def _copart_shards(corpus_dir: str):
@@ -237,6 +236,23 @@ def _decode_geo(t: pa.Table) -> pa.Table:
     from gdal_ray.stages.decode import decode_stats
 
     return _add_geo(decode_stats(t))
+
+
+def _decoded_geo(t: pa.Table) -> pa.Table:
+    """Decode every payload, so a corrupt one fails the task, then keep only
+    what the flagship reads: payload dropped, geo columns added. No pHash,
+    checksum or histogram."""
+    from gdal_ray.io.codec import decode_images
+
+    for _ in decode_images(t["bytes"].to_pylist(), t["fmt"].to_pylist()):
+        pass
+    return _add_geo(t.drop_columns(["bytes"]))
+
+
+def decoded_places(corpus_dir: str) -> rd.Dataset:
+    """Every image placed (centroid, bbox, cell) with its payload decoded
+    and dropped: the flagship's source."""
+    return fused_image_apply(corpus_dir, _decoded_geo, columns=["image_id", "bytes", "fmt", "w", "h"])
 
 
 def placed_images(
@@ -435,7 +451,7 @@ def flagship_single_pass(corpus_dir: str, zooms=TILE_ZOOMS) -> rd.Dataset:
     nulls in the columns the row kind doesn't use.
     """
     index_ref = _polygon_index_ref(corpus_dir)
-    placed = placed_images(corpus_dir, decode=True)
+    placed = decoded_places(corpus_dir)
 
     def both(batch: pa.Table) -> pa.Table:
         tiles = G.explode_tiles(batch, zooms)

@@ -24,6 +24,8 @@ integers are exact and whose floats follow the identical operation order:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -314,6 +316,12 @@ def q_dem_lattice(sf_dir: str):
     return _suppliers(sf_dir).map_batches(per_key, batch_format="pyarrow")
 
 
+def _round4(x: float) -> float:
+    """Round a non-negative value to 4 decimals half away from zero, as
+    DuckDB's ROUND(x, 4) does (Python's ``round`` takes a tie to even)."""
+    return math.floor(x * 1e4 + 0.5) / 1e4
+
+
 def q_hillshade_lattice(sf_dir: str):
     """The three gdaldem hillshade SHADING variants (-multidirectional /
     -combined / -igor; apps/gdaldem_lib.cpp:1238,1139,943) on the same
@@ -334,7 +342,7 @@ def q_hillshade_lattice(sf_dir: str):
             out["img_id"].append(f"h{k:06d}")
             out["hs_md"].append(int(K.hillshade_multidirectional(dem)[3, 3]))
             out["hs_comb"].append(int(K.hillshade_combined(dem)[3, 3]))
-            out["hs_igor"].append(round(float(K.hillshade_igor(dem)[3, 3]), 4))
+            out["hs_igor"].append(_round4(float(K.hillshade_igor(dem)[3, 3])))
         return pa.table({
             "img_id": pa.array(out["img_id"], pa.string()),
             "hs_md": pa.array(out["hs_md"], pa.int32()),

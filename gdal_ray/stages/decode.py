@@ -1,11 +1,11 @@
-"""Image decode + per-image raster metrics (actor-pool `map_batches` stage).
+"""Image decode + per-image raster metrics (task-pool ``map_batches`` stage).
 
 The distributed replacement for GDAL's raster driver + band statistics path
 (``gcore/gdalrasterband.cpp:5157`` ComputeStatistics, ``alg/gdalchecksum.cpp``)
 — per-image partial metrics computed at decode time, global stats via a later
 tiny aggregate. Batches are small (IMAGE_BATCH) because rows are wide; the
-decoded pixels are NOT carried forward unless ``keep_pixels`` — shuffles
-should only ever move keys + metadata (SURVEY.md "wide rows" hard part).
+decoded pixels are not carried forward — shuffles should only ever move
+keys + metadata (SURVEY.md "wide rows" hard part).
 """
 
 from __future__ import annotations
@@ -16,75 +16,50 @@ import pyarrow as pa
 from gdal_ray.io import codec as C
 from gdal_ray.io import phash as PH
 
-__all__ = ["DecodeStats", "decode_stats"]
+__all__ = ["decode_stats"]
 
 
-class DecodeStats:
-    """bytes+fmt -> per-image metrics (+ optional raw pixels).
+def decode_stats(batch: pa.Table) -> pa.Table:
+    """bytes+fmt -> per-image metrics, ``bytes`` dropped.
 
     Emitted columns: mean, std, minv, maxv, checksum (GDAL parity),
     phash_check (recomputed pHash — equals the stored ``phash`` column for
-    intact payloads, a cheap end-to-end decode invariant).
-
-    Decode holds no per-worker state (codecs are pure functions), so prefer
-    the plain-function form ``decode_stats`` (elastic task pool) — the class
-    form exists for callers that want to pin an actor pool alongside other
-    stages. A real model-backed featurizer WOULD be an actor pool.
+    intact payloads, a cheap end-to-end decode invariant). Decode holds no
+    per-worker state (codecs are pure functions), so this runs in an
+    elastic task pool.
     """
+    from gdal_ray.raster.checksum import checksum_image
 
-    def __init__(self, keep_pixels: bool = False, compute_phash: bool = True):
-        self.keep_pixels = keep_pixels
-        self.compute_phash = compute_phash
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from gdal_ray.raster.checksum import checksum_image
-
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        n = len(blobs)
-        mean = np.empty(n)
-        std = np.empty(n)
-        minv = np.empty(n, np.int32)
-        maxv = np.empty(n, np.int32)
-        cksum = np.empty(n, np.int32)
-        ph = np.empty(n, np.int64)
-        pixels = [] if self.keep_pixels else None
-        vals = np.arange(256, dtype=np.int64)
-        vals2 = vals * vals
-        for i in range(n):
-            img = C.decode_image(blobs[i], fmts[i])
-            # one-pass exact stats from the value histogram (no float64
-            # copy of the pixel array): integer sums are exact, so
-            # mean/min/max are identical to the two-pass form
-            counts = np.bincount(img.ravel(), minlength=256)
-            npix = img.size
-            s = int(counts @ vals)
-            ss = int(counts @ vals2)
-            mean[i] = s / npix
-            std[i] = np.sqrt(max(0.0, ss / npix - (s / npix) ** 2))
-            nz = np.flatnonzero(counts)
-            minv[i] = int(nz[0])
-            maxv[i] = int(nz[-1])
-            cksum[i] = checksum_image(img[:, :, 0])
-            if self.compute_phash:
-                ph[i] = PH.phash64(img)
-            if pixels is not None:
-                pixels.append(img.tobytes())
-        out = batch.drop_columns(["bytes"])
-        out = (
-            out.append_column("mean", pa.array(mean))
-            .append_column("std", pa.array(std))
-            .append_column("minv", pa.array(minv, pa.int32()))
-            .append_column("maxv", pa.array(maxv, pa.int32()))
-            .append_column("checksum", pa.array(cksum, pa.int32()))
-        )
-        if self.compute_phash:
-            out = out.append_column("phash_check", pa.array(ph, pa.int64()))
-        if pixels is not None:
-            out = out.append_column("pixels", pa.array(pixels, pa.binary()))
-        return out
-
-
-def decode_stats(batch: pa.Table, keep_pixels: bool = False, compute_phash: bool = True) -> pa.Table:
-    """Stateless function form of DecodeStats for task-pool `map_batches`."""
-    return DecodeStats(keep_pixels=keep_pixels, compute_phash=compute_phash)(batch)
+    n = batch.num_rows
+    mean = np.empty(n)
+    std = np.empty(n)
+    minv = np.empty(n, np.int32)
+    maxv = np.empty(n, np.int32)
+    cksum = np.empty(n, np.int32)
+    ph = np.empty(n, np.int64)
+    vals = np.arange(256, dtype=np.int64)
+    vals2 = vals * vals
+    for i, img in enumerate(C.decode_images(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())):
+        # one-pass exact stats from the value histogram (no float64
+        # copy of the pixel array): integer sums are exact, so
+        # mean/min/max are identical to the two-pass form
+        counts = np.bincount(img.ravel(), minlength=256)
+        npix = img.size
+        s = int(counts @ vals)
+        ss = int(counts @ vals2)
+        mean[i] = s / npix
+        std[i] = np.sqrt(max(0.0, ss / npix - (s / npix) ** 2))
+        nz = np.flatnonzero(counts)
+        minv[i] = int(nz[0])
+        maxv[i] = int(nz[-1])
+        cksum[i] = checksum_image(img[:, :, 0])
+        ph[i] = PH.phash64(img)
+    return (
+        batch.drop_columns(["bytes"])
+        .append_column("mean", pa.array(mean))
+        .append_column("std", pa.array(std))
+        .append_column("minv", pa.array(minv, pa.int32()))
+        .append_column("maxv", pa.array(maxv, pa.int32()))
+        .append_column("checksum", pa.array(cksum, pa.int32()))
+        .append_column("phash_check", pa.array(ph, pa.int64()))
+    )

@@ -198,3 +198,117 @@ def test_png_palette_with_trns():
                + _chunk(b"IDAT", zlib.compress(raw)) + _chunk(b"IEND", b""))
     out2 = decode_png(buf_rgb)
     assert out2.shape == (2, 3, 3) and tuple(out2[1, 0]) == (0, 0, 255)
+
+
+def _jpeg_cases():
+    """(kind, buf) for a seeded set of encoder outputs: gray, 4:4:4 and
+    4:2:0, odd sizes, qualities 20..99, smooth and noisy content."""
+    from gdal_ray.fixtures.generate import make_image
+    from gdal_ray.io.jpeg import encode_jpeg
+
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(36):
+        kind = ("gray", "444", "420")[i % 3]
+        w, h = (int(v) for v in rng.integers(1, 90, 2))
+        q = int(rng.choice([20, 50, 75, 92, 99]))
+        if i % 4 == 3:  # noise: dense blocks, coefficients up to zigzag 63
+            img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        else:
+            img = make_image(7, i, w, h)
+        if kind == "gray":
+            img = img[:, :, 0]
+        out.append((kind, encode_jpeg(img, quality=q, subsample=(kind == "420"))))
+    return out
+
+
+# sha256 over (shape, pixels) of each kind's decodes, as decoded by the
+# per-symbol reference decoder this codec had before its table-driven walk
+_JPEG_DIGESTS = {
+    "gray": "dcf0313fc04d4c8e2c8fe5d42c2fa161ae7945f97123f9ffc7b598b2543e1586",
+    "444": "af988dbaa32ef5b77a4958913cdf61aa06fbefb65f4637dde5fbec1abc965acb",
+    "420": "d3aaf4d9f6ee03eddd29bd36882bd353746eeaf9d6a94787f360fe4f3b465e7d",
+}
+
+
+def test_jpeg_decode_pinned_digests():
+    """Decoded pixels are bit-identical to the pinned reference, one image
+    at a time and as one batch."""
+    import hashlib
+
+    from gdal_ray.io.jpeg import decode_jpeg, decode_jpegs
+
+    cases = _jpeg_cases()
+    batched = decode_jpegs([buf for _, buf in cases])
+    got = {}
+    for (kind, buf), img in zip(cases, batched):
+        one = decode_jpeg(buf)
+        assert one.dtype == np.uint8 and np.array_equal(one, img)
+        h = got.setdefault(kind, hashlib.sha256())
+        h.update(repr(one.shape).encode())
+        h.update(one.tobytes())
+    assert {k: h.hexdigest() for k, h in got.items()} == _JPEG_DIGESTS
+
+
+def _markers(buf):
+    """{marker: offset} of the JFIF header segments up to SOS."""
+    import struct
+
+    pos, seen = 2, {}
+    while True:
+        seen[buf[pos + 1]] = pos
+        if buf[pos + 1] == 0xDA:
+            return seen
+        pos += 2 + struct.unpack_from(">H", buf, pos + 2)[0]
+
+
+def _restart_stream(img, quality):
+    """A 4:4:4 JPEG of ``img`` with one restart interval per MCU row: each
+    8-pixel row is encoded on its own (same tables), and their entropy
+    segments are joined with RST0..7 under DRI = MCUs per row."""
+    import struct
+
+    from gdal_ray.io.jpeg import encode_jpeg
+
+    h, w = img.shape[:2]
+    strips = [encode_jpeg(img[y : y + 8], quality=quality, subsample=False) for y in range(0, h, 8)]
+
+    def scan(buf):
+        sos = _markers(buf)[0xDA]
+        return buf[sos + 2 + struct.unpack_from(">H", buf, sos + 2)[0] : -2]  # EOI dropped
+
+    head = strips[0][: _markers(strips[0])[0xDA]]
+    sof = _markers(strips[0])[0xC0]
+    head = head[: sof + 5] + struct.pack(">H", h) + head[sof + 7 :]
+    dri = b"\xff\xdd" + struct.pack(">HH", 4, -(-w // 8))
+    sos_seg = strips[0][_markers(strips[0])[0xDA] : len(strips[0]) - len(scan(strips[0])) - 2]
+    data = b"".join(
+        (bytes([0xFF, 0xD0 + (i - 1) % 8]) if i else b"") + scan(s) for i, s in enumerate(strips)
+    )
+    return head + dri + sos_seg + data + b"\xff\xd9", strips
+
+
+def test_jpeg_restart_intervals():
+    """RSTn markers split the scan into restart intervals, each starting
+    its DC predictions from 0: the stream decodes to its strips stacked."""
+    from gdal_ray.fixtures.generate import make_image
+    from gdal_ray.io.jpeg import decode_jpeg, decode_jpegs
+
+    img = make_image(42, 5, 37, 77)  # 10 MCU rows: RST0..7 wrap around
+    buf, strips = _restart_stream(img, quality=85)
+    assert buf.count(b"\xff\xd0") == 2 and b"\xff\xdd" in buf
+    want = np.vstack([decode_jpeg(s) for s in strips])
+    got = decode_jpeg(buf)
+    assert got.shape == img.shape and np.array_equal(got, want)
+    batched = decode_jpegs([strips[0], buf, strips[-1]])
+    assert np.array_equal(batched[1], want) and np.array_equal(batched[2], decode_jpeg(strips[-1]))
+
+
+def test_jpeg_truncated_scan_raises():
+    from gdal_ray.fixtures.generate import make_image
+    from gdal_ray.io.jpeg import decode_jpeg, encode_jpeg
+
+    buf = encode_jpeg(make_image(42, 3, 40, 40))
+    for cut in (len(buf) // 2, len(buf) - 40, 30):
+        with pytest.raises(ValueError):
+            decode_jpeg(buf[:cut])

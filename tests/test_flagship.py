@@ -191,3 +191,67 @@ def test_degenerate_band_group_bounded_memory(ray_session):
         assert (ia < ib).all()
         got[ia, ib] += 1
     assert (got == np.triu(np.ones((m, m), dtype=np.int32), k=1)).all()
+
+
+def _row_group():
+    """Row group 0 of the test corpus with its placements, as the fused
+    source hands it to the flagship's decode kernel (read in-process)."""
+    import glob
+
+    from gdal_ray.fixtures.generate import generate_corpus
+    from gdal_ray.pipelines import flagship as F
+
+    corpus = generate_corpus(1000)
+    img = sorted(glob.glob(f"{corpus}/images.parquet/*.parquet"))[0]
+    plc = img.replace("images.parquet", "placements.parquet")
+    t = pq.ParquetFile(img).read_row_group(0, columns=["image_id", "bytes", "fmt", "w", "h"])
+    return F._take_placements(t, plc)
+
+
+def _with_payload(t, i, blob, fmt):
+    """``t`` with row ``i``'s payload replaced."""
+    import pyarrow as pa
+
+    blobs, fmts = t["bytes"].to_pylist(), t["fmt"].to_pylist()
+    blobs[i], fmts[i] = blob, fmt
+    t = t.set_column(t.schema.get_field_index("bytes"), "bytes", pa.array(blobs, pa.binary()))
+    return t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(fmts, pa.string()))
+
+
+def test_flagship_kernel_raises_on_corrupt_payload():
+    """The headline drops the decoded pixels but still decodes every
+    payload: a truncated JPEG or a 'png' without the PNG signature fails."""
+    from gdal_ray.pipelines import flagship as F
+
+    t = _row_group()
+    fmts = t["fmt"].to_pylist()
+    j = fmts.index("jpeg")
+    jpeg = t["bytes"][j].as_py()
+    png = t["bytes"][fmts.index("png")].as_py()
+    F._decoded_geo(t)  # intact row group decodes
+    with pytest.raises(ValueError):
+        F._decoded_geo(_with_payload(t, j, jpeg[: len(jpeg) // 2], "jpeg"))
+    with pytest.raises(ValueError):
+        F._decoded_geo(_with_payload(t, j, b"\x00" + png[1:], "png"))
+
+
+def test_flagship_kernel_skips_dropped_stats(monkeypatch):
+    """The flagship kernel's rows are the stats kernel's rows minus the
+    stats, and it computes no pHash or checksum to get them."""
+    from gdal_ray.io import phash as PH
+    from gdal_ray.pipelines import flagship as F
+    from gdal_ray.raster import checksum as CK
+
+    t = _row_group()
+    stats = ["mean", "std", "minv", "maxv", "checksum", "phash_check"]
+    want = F._decode_geo(t).drop_columns(stats)
+    assert F._decoded_geo(t).equals(want)
+
+    def boom(*a, **k):
+        raise AssertionError("dropped stat computed")
+
+    monkeypatch.setattr(PH, "phash64", boom)
+    monkeypatch.setattr(CK, "checksum_image", boom)
+    assert F._decoded_geo(t).equals(want)
+    with pytest.raises(AssertionError):
+        F._decode_geo(t)

@@ -116,3 +116,16 @@ def test_zt_variant_runs_and_differs():
     assert a.shape == b.shape and (a != b).any()
     c = hillshade(DEM, EW, NS, Z)
     assert c.shape == a.shape  # classic still intact
+
+
+def test_igor_lattice_rounds_ties_away_from_zero():
+    """q_hillshade_lattice rounds hs_igor as its DuckDB twin's ROUND(x, 4)
+    does: a float32-exact tie goes away from zero, where Python's round
+    would take it to the even digit."""
+    from gdal_ray.pipelines.raster_lattices import _round4
+
+    tie = float(np.float32(100.03125))
+    assert tie == 100.03125
+    assert _round4(tie) == 100.0313
+    assert round(tie, 4) == 100.0312  # the rounding it replaces
+    assert _round4(87.5) == 87.5 and _round4(0.00004) == 0.0
