@@ -34,7 +34,6 @@ __all__ = [
     "encode_qlossy",
     "decode_qlossy",
     "decode_image",
-    "decode_images",
     "psnr",
 ]
 
@@ -237,24 +236,6 @@ def decode_image(buf: bytes, fmt: str) -> np.ndarray:
         f"fmt={fmt!r}: TIFF/WebP decode needs an imaging library not present "
         "in this environment; plug a decoder into gdal_ray.io.codec.decode_image"
     )
-
-
-_DECODE_SLICE = 64  # payloads per decode_images slice: bounds the images held
-
-
-def decode_images(bufs, fmts):
-    """Yield ``decode_image`` of each payload, in order. The JFIF payloads of
-    each slice of ``_DECODE_SLICE`` decode together (``jpeg.decode_jpegs``),
-    so the JPEG decoder's numpy stages run once per chunk of images rather
-    than once per image; at most one slice of images is held."""
-    from gdal_ray.io.jpeg import decode_jpegs
-
-    for lo in range(0, len(bufs), _DECODE_SLICE):
-        b, f = bufs[lo : lo + _DECODE_SLICE], fmts[lo : lo + _DECODE_SLICE]
-        jfif = [i for i in range(len(b)) if f[i] in ("jpeg", "qlossy") and b[i][:2] == b"\xff\xd8"]
-        done = dict(zip(jfif, decode_jpegs([b[i] for i in jfif])))
-        for i in range(len(b)):
-            yield done.pop(i) if i in done else decode_image(b[i], f[i])
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,13 +10,12 @@ Huffman coding with the ITU T.81 Annex-K typical tables, JFIF container
   4:2:0, interleaved single scan. Output decodes in any standard viewer.
 - ``decode_jpeg``: baseline sequential decoder (SOF0), arbitrary Huffman /
   quant tables from the stream, sampling factors 1-2, restart markers.
-  ``decode_jpegs`` decodes many streams together.
 
 The decoder's only Python loop is the entropy walk: a 16-bit peek and two
 table lookups per step of one or two symbols, 0.2-0.35 µs a step on a
 1-vCPU Xeon VM (about 2,700 steps for a 114x114 4:4:4 image at q92).
 Symbol values, DC prediction, dequantization, IDCT and colour conversion
-run as numpy over every block of a chunk of streams.
+run as numpy over every block of the stream.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from gdal_ray.ops.runtime import memo
 
-__all__ = ["encode_jpeg", "decode_jpeg", "decode_jpegs"]
+__all__ = ["encode_jpeg", "decode_jpeg"]
 
 # --- constants (ITU T.81 / JFIF, public spec) ------------------------------
 
@@ -379,13 +378,12 @@ def _upsample2(p: np.ndarray, axis: int) -> np.ndarray:
 # where the step starts. A step is one symbol, or two when both codes lie in
 # the 16 bits. Everything after the walk (symbol and magnitude lookup, sign
 # extension, zigzag index, DC prediction, dequantization, IDCT, colour) runs
-# as numpy over every symbol of a chunk of streams at once.
+# as numpy over every symbol of the stream at once.
 
 _END = re.compile(rb"\xff[^\x00\xd0-\xd7]")  # first marker past the scan data
 _RST = re.compile(rb"\xff[\xd0-\xd7]")
 _PAD = bytes(4)  # after every segment: peeks past its end read zero bits
 _SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
-_CHUNK_COEFS = 1 << 17  # coefficients per decode chunk; bounds transient memory
 _HALF = (1 << np.arange(16)) >> 1  # EXTEND: a value below 2^(s-1) is negative ...
 _SPAN = (1 << np.arange(16)) - 1  # ... and is shifted down by 2^s - 1
 _EOB = 128  # step advance of EOB: a block that ends on EOB leaves k in 129..191
@@ -477,7 +475,7 @@ class _Frame:
     order, restart interval, and the entropy-coded segments (unstuffed,
     split at RSTn)."""
 
-    __slots__ = ("h", "w", "comps", "ri", "parts", "mx", "my", "key", "ncoef")
+    __slots__ = ("h", "w", "comps", "ri", "parts", "mx", "my")
 
 
 def _parse(buf: bytes) -> _Frame:
@@ -545,8 +543,6 @@ def _parse(buf: bytes) -> _Frame:
     vmax = max(c[1] for c in f.comps)
     f.mx = -(-w // (8 * hmax))
     f.my = -(-h // (8 * vmax))
-    f.key = tuple((c[0], c[1], id(c[2]), c[3].key, c[4].key) for c in f.comps)
-    f.ncoef = f.mx * f.my * 64 * sum(c[0] * c[1] for c in f.comps)
     m = _END.search(buf, data_start)
     scan_data = buf[data_start : m.start() if m else n]
     f.parts = [p.replace(b"\xff\x00", b"\xff") for p in _RST.split(scan_data)]
@@ -610,70 +606,41 @@ def _idct(coef: np.ndarray) -> np.ndarray:
 def decode_jpeg(buf: bytes) -> np.ndarray:
     """JFIF bytes -> uint8 (H, W, C). Baseline sequential (SOF0/1) only;
     raises ValueError on a truncated or corrupt scan."""
-    return decode_jpegs([buf])[0]
-
-
-def decode_jpegs(bufs) -> list:
-    """``decode_jpeg`` of each stream. Streams with the same component layout
-    and Huffman tables decode together, in chunks of at most
-    ``_CHUNK_COEFS`` coefficients, so each numpy stage runs once per chunk."""
-    frames = [_parse(b) for b in bufs]
-    groups: dict = {}
-    for i, f in enumerate(frames):
-        groups.setdefault(f.key, []).append(i)
-    out = [None] * len(frames)
-    for idx in groups.values():
-        lo = 0
-        while lo < len(idx):
-            hi, ncoef = lo + 1, frames[idx[lo]].ncoef
-            while hi < len(idx) and ncoef + frames[idx[hi]].ncoef <= _CHUNK_COEFS:
-                ncoef += frames[idx[hi]].ncoef
-                hi += 1
-            for i, img in zip(idx[lo:hi], _decode_chunk([frames[i] for i in idx[lo:hi]])):
-                out[i] = img
-            lo = hi
-    return out
-
-
-def _decode_chunk(frames) -> list:
-    comps = frames[0].comps
+    f = _parse(buf)
+    comps = f.comps
     ncomp = len(comps)
     # component of each block of an MCU, in decode order
     slot = [ci for ci, c in enumerate(comps) for _ in range(c[0] * c[1])]
     bpm = len(slot)
+    n_mcu = f.mx * f.my
+    ri = f.ri or n_mcu
 
-    # one stream over every segment of every frame, peeked at every bit offset
+    # the entropy-coded segments end to end, peeked at every bit offset
     pieces, segs, off = [], [], 0
-    for f in frames:
-        f_segs = []
-        for p in f.parts:
-            pieces += (p, _PAD)
-            f_segs.append((off * 8, (off + len(p)) * 8))
-            off += len(p) + len(_PAD)
-        segs.append(f_segs)
+    for p in f.parts:
+        pieces += (p, _PAD)
+        segs.append((off * 8, (off + len(p)) * 8))
+        off += len(p) + len(_PAD)
     a = np.frombuffer(b"".join(pieces), dtype=np.uint8).astype(np.uint32)
     peek = (((a[:-2] << 16) | (a[1:-1] << 8) | a[2:])[:, None] >> _SHIFTS).astype(np.uint16).ravel()
 
-    dstarts, astarts, seg_first, unpaired = array("q"), array("q"), array("q"), []
+    dstarts, astarts, unpaired = array("q"), array("q"), []
     spec = [(comps[ci][3].adv, comps[ci][4].dk, comps[ci][4].adv, comps[ci][4]) for ci in slot]
     peek_at = memoryview(peek)
-    for f, f_segs in zip(frames, segs):
-        n_mcu = f.mx * f.my
-        done = 0
-        for s0, s1 in f_segs:
-            if done == n_mcu:
-                break
-            n = min(f.ri or n_mcu, n_mcu - done)
-            seg_first.append(len(dstarts) // bpm)
-            try:
-                q = _walk(peek_at, s0, n, spec, dstarts, astarts, unpaired)
-            except IndexError:
-                q = s1 + 1
-            if q > s1:
-                raise ValueError("corrupt JPEG: entropy-coded segment overruns its data")
-            done += n
-        if done < n_mcu:
-            raise ValueError("truncated JPEG: entropy-coded data ends early")
+    done = 0
+    for s0, s1 in segs:
+        if done == n_mcu:
+            break
+        n = min(ri, n_mcu - done)
+        try:
+            q = _walk(peek_at, s0, n, spec, dstarts, astarts, unpaired)
+        except IndexError:
+            q = s1 + 1
+        if q > s1:
+            raise ValueError("corrupt JPEG: entropy-coded segment overruns its data")
+        done += n
+    if done < n_mcu:
+        raise ValueError("truncated JPEG: entropy-coded data ends early")
     dpos = np.frombuffer(dstarts, dtype=np.int64)
     steps = np.frombuffer(astarts, dtype=np.int64)
     nblk = len(dpos)
@@ -699,13 +666,13 @@ def _decode_chunk(frames) -> list:
     diff, rs, val = val[:nblk], rs[nblk:], val[nblk:]
 
     # DC: running sum of each component's differences in decode order,
-    # restarting at every restart segment (and every image)
+    # restarting at every restart interval
     comp, rows = np.array(slot)[col], np.arange(nblk)
     onehot = np.zeros((nblk, ncomp), dtype=np.int64)
     onehot[rows, comp] = diff
     run = onehot.cumsum(axis=0)
-    if len(seg_first) > 1:
-        first = np.frombuffer(seg_first, dtype=np.int64) * bpm
+    if ri < n_mcu:
+        first = np.arange(0, nblk, ri * bpm)
         run -= (run[first] - onehot[first]).repeat(np.diff(first, append=nblk), axis=0)
     dc = run[rows, comp]
 
@@ -729,18 +696,14 @@ def _decode_chunk(frames) -> list:
 
     # dequantize (each MCU column has its component's table) into one plane
     # of blocks per MCU column, and transform
-    n_mcu = nblk // bpm
     qt = np.array([comps[ci][2] for ci in slot])
     coef = np.zeros((bpm, n_mcu, 64))
     coef[:, :, 0] = (dc * qt[col, 0]).reshape(n_mcu, bpm).T
     bcol = col[blk]
     coef.ravel()[(bcol * n_mcu + blk // bpm) * 64 + nat] = val * qt.ravel()[bcol * 64 + nat]
-    pix = _idct(coef).reshape(bpm, n_mcu, 8, 8)
+    pix = _idct(coef)
     pix += 128.0
-
-    if len({c[:2] for c in comps}) == 1:
-        return _assemble_blocks(frames, pix, comps[0][0], comps[0][1])
-    return _assemble_planes(frames, pix, slot)
+    return _assemble(f, pix.reshape(bpm, f.my, f.mx, 8, 8), slot)
 
 
 def _to_u8(x: np.ndarray) -> np.ndarray:
@@ -767,45 +730,26 @@ def _ycc_u8(planes) -> np.ndarray:
     return _to_u8(rgb)
 
 
-def _assemble_blocks(frames, pix, ch, cv) -> list:
-    """Every component sampled alike: colour-convert all blocks of the chunk
-    at once, then lay each image's uint8 blocks out as rows (no float
-    plane per image, as nothing needs upsampling)."""
-    px = _ycc_u8(pix.reshape(-1, cv, ch, *pix.shape[1:]))
-    out, m = [], 0
-    for f in frames:
-        img = np.empty((f.my * cv * 8, f.mx * ch * 8, len(px)), dtype=np.uint8)
-        grid = img.reshape(f.my, cv, 8, f.mx, ch, 8, -1)
-        for c, plane in enumerate(px[:, :, :, m : m + f.mx * f.my]):
-            grid[..., c] = plane.reshape(cv, ch, f.my, f.mx, 8, 8).transpose(2, 0, 4, 3, 1, 5)
-        out.append(img if img.shape[:2] == (f.h, f.w) else np.ascontiguousarray(img[: f.h, : f.w]))
-        m += f.mx * f.my
-    return out
-
-
-def _assemble_planes(frames, pix, slot) -> list:
-    """Subsampled components: per image, lay each component's blocks out as
-    a plane, upsample it to the MCU grid (triangle filter for 2x, libjpeg
-    "fancy upsampling"; repeat otherwise), crop and colour-convert."""
-    out, m = [], 0
-    for f in frames:
-        hmax = max(c[0] for c in f.comps)
-        vmax = max(c[1] for c in f.comps)
-        planes = []
-        for ci, (ch, cv, *_) in enumerate(f.comps):
-            j = slot.index(ci)
-            plane = pix[j : j + ch * cv, m : m + f.mx * f.my].reshape(cv, ch, f.my, f.mx, 8, 8)
-            plane = plane.transpose(2, 0, 4, 3, 1, 5).reshape(f.my * cv * 8, f.mx * ch * 8)
-            for axis, fac in ((0, vmax // cv), (1, hmax // ch)):
-                if fac == 2:
-                    plane = _upsample2(plane, axis=axis)
-                elif fac > 1:
-                    plane = np.repeat(plane, fac, axis=axis)
-            planes.append(plane[: f.h, : f.w])
-        px = _ycc_u8(planes)
-        img = np.empty(px.shape[1:] + (len(px),), dtype=np.uint8)
-        for c in range(len(px)):
-            img[..., c] = px[c]
-        out.append(img)
-        m += f.mx * f.my
-    return out
+def _assemble(f: _Frame, pix: np.ndarray, slot) -> np.ndarray:
+    """``pix`` (block of the MCU, MCU row, MCU column, 8, 8) samples -> the
+    uint8 image: lay each component's blocks out as a plane, upsample a
+    subsampled one to the MCU grid (triangle filter for 2x, libjpeg "fancy
+    upsampling"; repeat otherwise), crop and colour-convert."""
+    hmax = max(c[0] for c in f.comps)
+    vmax = max(c[1] for c in f.comps)
+    planes = []
+    for ci, (ch, cv, *_) in enumerate(f.comps):
+        j = slot.index(ci)
+        plane = pix[j : j + ch * cv].reshape(cv, ch, f.my, f.mx, 8, 8)
+        plane = plane.transpose(2, 0, 4, 3, 1, 5).reshape(f.my * cv * 8, f.mx * ch * 8)
+        for axis, fac in ((0, vmax // cv), (1, hmax // ch)):
+            if fac == 2:
+                plane = _upsample2(plane, axis=axis)
+            elif fac > 1:
+                plane = np.repeat(plane, fac, axis=axis)
+        planes.append(plane[: f.h, : f.w])
+    px = _ycc_u8(planes)
+    img = np.empty(px.shape[1:] + (len(px),), dtype=np.uint8)
+    for c in range(len(px)):
+        img[..., c] = px[c]
+    return img

@@ -242,10 +242,10 @@ def _decoded_geo(t: pa.Table) -> pa.Table:
     """Decode every payload, so a corrupt one fails the task, then keep only
     what the flagship reads: payload dropped, geo columns added. No pHash,
     checksum or histogram."""
-    from gdal_ray.io.codec import decode_images
+    from gdal_ray.io.codec import decode_image
 
-    for _ in decode_images(t["bytes"].to_pylist(), t["fmt"].to_pylist()):
-        pass
+    for buf, fmt in zip(t["bytes"].to_pylist(), t["fmt"].to_pylist()):
+        decode_image(buf, fmt)
     return _add_geo(t.drop_columns(["bytes"]))
 
 

@@ -39,7 +39,7 @@ def decode_stats(batch: pa.Table) -> pa.Table:
     ph = np.empty(n, np.int64)
     vals = np.arange(256, dtype=np.int64)
     vals2 = vals * vals
-    for i, img in enumerate(C.decode_images(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())):
+    for i, img in enumerate(map(C.decode_image, batch["bytes"].to_pylist(), batch["fmt"].to_pylist())):
         # one-pass exact stats from the value histogram (no float64
         # copy of the pixel array): integer sums are exact, so
         # mean/min/max are identical to the two-pass form

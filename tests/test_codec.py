@@ -232,18 +232,15 @@ _JPEG_DIGESTS = {
 
 
 def test_jpeg_decode_pinned_digests():
-    """Decoded pixels are bit-identical to the pinned reference, one image
-    at a time and as one batch."""
+    """Decoded pixels are bit-identical to the pinned reference."""
     import hashlib
 
-    from gdal_ray.io.jpeg import decode_jpeg, decode_jpegs
+    from gdal_ray.io.jpeg import decode_jpeg
 
-    cases = _jpeg_cases()
-    batched = decode_jpegs([buf for _, buf in cases])
     got = {}
-    for (kind, buf), img in zip(cases, batched):
+    for kind, buf in _jpeg_cases():
         one = decode_jpeg(buf)
-        assert one.dtype == np.uint8 and np.array_equal(one, img)
+        assert one.dtype == np.uint8
         h = got.setdefault(kind, hashlib.sha256())
         h.update(repr(one.shape).encode())
         h.update(one.tobytes())
@@ -292,7 +289,7 @@ def test_jpeg_restart_intervals():
     """RSTn markers split the scan into restart intervals, each starting
     its DC predictions from 0: the stream decodes to its strips stacked."""
     from gdal_ray.fixtures.generate import make_image
-    from gdal_ray.io.jpeg import decode_jpeg, decode_jpegs
+    from gdal_ray.io.jpeg import decode_jpeg
 
     img = make_image(42, 5, 37, 77)  # 10 MCU rows: RST0..7 wrap around
     buf, strips = _restart_stream(img, quality=85)
@@ -300,8 +297,6 @@ def test_jpeg_restart_intervals():
     want = np.vstack([decode_jpeg(s) for s in strips])
     got = decode_jpeg(buf)
     assert got.shape == img.shape and np.array_equal(got, want)
-    batched = decode_jpegs([strips[0], buf, strips[-1]])
-    assert np.array_equal(batched[1], want) and np.array_equal(batched[2], decode_jpeg(strips[-1]))
 
 
 def test_jpeg_truncated_scan_raises():
