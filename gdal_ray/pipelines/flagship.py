@@ -22,8 +22,11 @@ One fallback rule: a corpus whose images and placements are not co-sharded
 (like-named part files) has no row-group units to fuse over.
 ``fused_image_apply`` then reads with ``read_parquet`` and runs the same
 kernel per batch, and ``placed_images`` uses Ray's hash join
-(``join_strategy="hash"``). The shuffle PIP variant with hot-cell salting
-lives in stages/pipjoin.pip_join_shuffle.
+(``join_strategy="hash"``). For inputs too large to broadcast, the spatial
+questions have a second plan with the same kernels:
+stages/pipjoin.pip_join_shuffle (hot cells salted) runs ``PipJoinStage``
+per (cell, salt) partition, and ``knn_images_shuffle`` selects through the
+same ``topk_rows`` as ``KnnStage``.
 """
 
 from __future__ import annotations

@@ -11,12 +11,15 @@ radius, ``alg/gdalgrid.cpp:896-923``) as a Ray actor-pool stage:
   >= r * cell_edge from anywhere in the query's cell, so once the k-th
   candidate distance is <= that bound the search stops (otherwise the ring
   jumps straight to ceil(kth/cell_edge));
-- distances are Euclidean in EPSG:3857 meters; ties broken by image_id
-  (lexsort), matching the fixture oracle.
+- distances are Euclidean in EPSG:3857 meters; ties broken by image_id,
+  matching the fixture oracle. ``topk_rows`` is the one place that rule
+  lives.
 
 At 10^12-image scale the broadcast index is replaced by co-partitioning
-both sides on cell (groupby + map_groups with per-cell state and k-ring
-replication of queries) — same kernel, different data movement.
+both sides on cell (``knn_shuffle``: k-ring replication of queries, one
+cell-keyed shuffle, a query-keyed merge). Both of its top-k steps and
+``KnnStage`` select through ``topk_rows`` — same kernel, different data
+movement.
 """
 
 from __future__ import annotations
@@ -29,8 +32,25 @@ from gdal_ray.config import CELL_LEVEL
 from gdal_ray.geo import cells as CL
 from gdal_ray.geo import mercator as M
 from gdal_ray.ops.runtime import memo
+from gdal_ray.stages.geo import add_cell
 
-__all__ = ["build_centroid_cell_index", "KnnStage", "knn_batch", "knn_shuffle"]
+__all__ = ["build_centroid_cell_index", "KnnStage", "knn_batch", "knn_shuffle", "topk_rows"]
+
+
+def topk_rows(group, d2, rank, k) -> np.ndarray:
+    """Row indices of the first ``k`` rows of each ``group`` under the total
+    order (d2, id rank), sorted by (group, d2, rank).
+
+    ``group`` and ``rank`` are integer arrays; ``k`` is a scalar or a
+    per-row array (constant within a group).
+    """
+    order = np.lexsort((rank, d2, group))
+    return order[_pos_in_group(group[order]) < (k[order] if np.ndim(k) else k)]
+
+
+def _pos_in_group(sorted_group: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run of a sorted key."""
+    return np.arange(len(sorted_group)) - np.searchsorted(sorted_group, sorted_group)
 
 
 def build_centroid_cell_index(ids, cx, cy, level: int = CELL_LEVEL):
@@ -95,7 +115,7 @@ class KnnStage:
                 ring *= 2
                 continue
             d2 = (cand_xy[:, 0] - qx) ** 2 + (cand_xy[:, 1] - qy) ** 2
-            sel = np.lexsort((cand_rank, d2))[:k]
+            sel = topk_rows(np.zeros_like(cand_rank), d2, cand_rank, k)
             if exhausted or len(sel) == 0:
                 return cand_ids[sel], np.sqrt(d2[sel])
             kth = float(np.sqrt(d2[sel[-1]]))
@@ -142,10 +162,12 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
        ring r sit at Euclidean distance <= (r+1)*sqrt(2)*cell_edge of the
        query, and a ring-R' cell is at least (R'-1)*cell_edge away, so the
        true k nearest all lie inside ring R;
-    3. points and replicated queries co-shuffle on cell (bucketed) and each
-       partition emits per-cell partial top-k under the total order
-       (d2, point_id);
-    4. a tiny ``groupby(query_id)`` merge yields the exact global top-k.
+    3. points and replicated queries co-shuffle on cell (bucketed); each
+       partition pairs every replicated query with its cell's points and
+       keeps each query's partial top-k (``topk_rows``);
+    4. a query-keyed ``bucketed_group_apply`` merges the partials with
+       ``topk_rows`` again: a head under the same total order (d2, id) per
+       partition is sufficient for global exactness.
 
     points_ds columns: (image_id, cx, cy); queries_ds: (query_id, cx, cy)
     plus an optional per-row ``k`` column (values must be <= the stage-level
@@ -156,16 +178,6 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
 
     from gdal_ray.ops.shuffle import bucketed_group_apply
 
-    def add_cell(batch: pa.Table, xcol="cx", ycol="cy") -> pa.Table:
-        cell = CL.cell_of_meters(
-            np.asarray(batch[xcol], dtype=np.float64),
-            np.asarray(batch[ycol], dtype=np.float64),
-            level,
-        )
-        if "cell" in batch.column_names:
-            batch = batch.drop_columns(["cell"])
-        return batch.append_column("cell", pa.array(cell))
-
     # The keyed point table is NOT materialized: only the per-cell
     # histogram (<= 4^level rows, tiny) persists, and the point stream
     # re-executes for the candidate shuffle. At 10^12 rows a materialize
@@ -173,7 +185,7 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
     # one column-pruned re-scan of the source — re-streaming is the
     # scale-correct trade (callers with an expensive upstream can
     # .materialize() their input themselves before passing it in).
-    pts = points_ds.map_batches(add_cell, batch_format="pyarrow")
+    pts = points_ds.map_batches(add_cell, fn_kwargs={"level": level}, batch_format="pyarrow")
     # phase 1: per-cell histogram (small: <= 4^level rows)
     cnt = pts.groupby("cell").count().to_pandas()
     counts = dict(zip(cnt["cell"].astype(np.int64), cnt["count()"].astype(np.int64)))
@@ -287,38 +299,35 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
     )
     both = side_p.union(side_q)
 
-    def partial_topk(part: pd.DataFrame) -> pd.DataFrame:
-        rows = {"query_id": [], "image_id": [], "d2": [], "kq": []}
-        for _, g in part.groupby("cell", sort=False):
-            p = g[g["side"] == "p"]
-            q = g[g["side"] == "q"]
-            if len(p) == 0 or len(q) == 0:
-                continue
-            px = p["cx"].to_numpy(dtype=np.float64)
-            py = p["cy"].to_numpy(dtype=np.float64)
-            pid = p["image_id"].to_numpy().astype("U")  # lexsort needs non-object dtype
-            qx = q["cx"].to_numpy(dtype=np.float64)
-            qy = q["cy"].to_numpy(dtype=np.float64)
-            qids = q["query_id"].to_numpy()
-            qks = q["kq"].to_numpy(dtype=np.int64)
-            d2 = (qx[:, None] - px[None, :]) ** 2 + (qy[:, None] - py[None, :]) ** 2
-            for j in range(len(qids)):
-                # per-cell partial top-k under the TOTAL order (d2, image_id):
-                # a per-cell head under the same total order as the final
-                # merge is sufficient for global exactness
-                order = np.lexsort((pid, d2[j]))[: min(int(qks[j]), len(px))]
-                rows["query_id"].extend([qids[j]] * len(order))
-                rows["image_id"].extend(pid[order])
-                rows["d2"].extend(d2[j][order])
-                rows["kq"].extend([int(qks[j])] * len(order))
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(rows["query_id"], dtype=str),
-                "image_id": pd.Series(rows["image_id"], dtype=str),
-                "d2": pd.Series(rows["d2"], dtype=np.float64),
-                "kq": pd.Series(rows["kq"], dtype=np.int64),
-            }
-        )
+    def partial_topk(part: pd.DataFrame) -> pa.Table:
+        # a partition made only of one side's blocks lacks the other side's
+        # columns: reindex gives them, empty
+        side = part["side"].to_numpy()
+        p = part[side == "p"].reindex(columns=["image_id", "cx", "cy", "cell"])
+        q = part[side == "q"].reindex(columns=["query_id", "cx", "cy", "cell", "kq"])
+        pcell = p["cell"].to_numpy(dtype=np.int64)
+        qcell = q["cell"].to_numpy(dtype=np.int64)
+        # pair each replicated query with every point of its cell
+        porder = np.argsort(pcell, kind="stable")
+        lo = np.searchsorted(pcell[porder], qcell, "left")
+        n = np.searchsorted(pcell[porder], qcell, "right") - lo
+        qrow = np.repeat(np.arange(len(q)), n)
+        prow = porder[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(qrow))]
+        qx, qy = (q[c].to_numpy(dtype=np.float64)[qrow] for c in ("cx", "cy"))
+        px, py = (p[c].to_numpy(dtype=np.float64)[prow] for c in ("cx", "cy"))
+        d2 = (qx - px) ** 2 + (qy - py) ** 2
+        pid = p["image_id"].to_numpy()
+        qid = q["query_id"].to_numpy()
+        kq = q["kq"].to_numpy(dtype=np.int64)
+        _, prank = np.unique(pid, return_inverse=True)
+        _, qgroup = np.unique(qid, return_inverse=True)
+        sel = topk_rows(qgroup[qrow], d2, prank[prow], kq[qrow])
+        return pa.table({
+            "query_id": pa.array(qid[qrow[sel]], pa.string()),
+            "image_id": pa.array(pid[prow[sel]], pa.string()),
+            "d2": pa.array(d2[sel], pa.float64()),
+            "kq": pa.array(kq[qrow[sel]], pa.int64()),
+        })
 
     partials = bucketed_group_apply(
         both, ["cell"], partial_topk, num_buckets,
@@ -328,18 +337,25 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
         ),
     )
 
-    def merge(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["d2", "image_id"], kind="mergesort").head(int(g["kq"].iloc[0]))
-        return pa.table(
-            {
-                "query_id": pa.array(g["query_id"].to_numpy(), pa.string()),
-                "rank": pa.array(np.arange(len(g), dtype=np.int32)),
-                "image_id": pa.array(g["image_id"].to_numpy(), pa.string()),
-                "dist": pa.array(np.sqrt(g["d2"].to_numpy()), pa.float64()),
-            }
-        )
+    def merge(part: pd.DataFrame) -> pa.Table:
+        qid = part["query_id"].to_numpy()
+        iid = part["image_id"].to_numpy()
+        d2 = part["d2"].to_numpy(dtype=np.float64)
+        _, qgroup = np.unique(qid, return_inverse=True)
+        _, irank = np.unique(iid, return_inverse=True)
+        sel = topk_rows(qgroup, d2, irank, part["kq"].to_numpy(dtype=np.int64))
+        return pa.table({
+            "query_id": pa.array(qid[sel], pa.string()),
+            "rank": pa.array(_pos_in_group(qgroup[sel]), pa.int32()),
+            "image_id": pa.array(iid[sel], pa.string()),
+            "dist": pa.array(np.sqrt(d2[sel]), pa.float64()),
+        })
 
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return bucketed_group_apply(
+        partials, ["query_id"], merge, num_buckets,
+        schema=pa.schema([("query_id", pa.string()), ("rank", pa.int32()),
+                          ("image_id", pa.string()), ("dist", pa.float64())]),
+    )
 
 
 _STAGE_CACHE: dict = {}

@@ -14,9 +14,10 @@ SURVEY.md section 2.4:
   crossing rules (``ogr/ogrlinearring.cpp:462-531``), preceded by the same
   envelope prefilter GDAL applies.
 
-For a polygon side too large to broadcast, use ``pip_join_shuffle`` —
-both sides keyed by cell, hot cells salted (round-2 path; the broadcast
-path is the 100 TB design for dimension-sized polygon layers).
+For a polygon side too large to broadcast, ``pip_join_shuffle`` moves the
+data the other way: both sides are co-shuffled on (cell, salt), and each
+partition builds the same cell index from its own cover rows and runs the
+same ``PipJoinStage`` kernel. One exact test, two plans.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ def build_polygon_cell_index(polygons_table: pa.Table, level: int = CELL_LEVEL):
         polys.append(decoded)
         envs[i] = W.wkb_envelope(blob)
     row, cell = CL.bbox_cover(envs[:, 0], envs[:, 1], envs[:, 2], envs[:, 3], level)
-    index: dict[int, np.ndarray] = {}
     order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    row = row[order]
-    bounds = np.flatnonzero(np.diff(cell)) + 1
-    for c, idxs in zip(cell[np.concatenate([[0], bounds])], np.split(row, bounds)):
-        index[int(c)] = idxs
+    ucell, starts = np.unique(cell[order], return_index=True)
+    index = dict(zip(ucell.tolist(), np.split(row[order], starts[1:])))
     return {"cells": index, "polys": polys, "env": envs, "ids": np.asarray(ids)}
 
 
@@ -86,11 +83,8 @@ class PipJoinStage:
         # group points of the batch by cell, then test each candidate polygon
         # against the whole point group at once (vectorized over points)
         order = np.argsort(cell, kind="stable")
-        sorted_cells = cell[order]
-        bounds = np.flatnonzero(np.diff(sorted_cells)) + 1
-        groups = np.split(order, bounds)
-        for grp in groups:
-            c = int(cell[grp[0]])
+        ucell, starts = np.unique(cell[order], return_index=True)
+        for c, grp in zip(ucell.tolist(), np.split(order, starts[1:])):
             cand = cells.get(c)
             if cand is None:
                 continue
@@ -164,12 +158,16 @@ def pip_join_shuffle(points_ds, polygons_ds, level: int = CELL_LEVEL, num_bucket
                      hot_cells: set | None = None, num_salts: int = 8):
     """Cell-partitioned PIP join for polygon sides too large to broadcast.
 
-    Both sides are keyed by cell id and co-shuffled with
-    ``bucketed_group_apply``; inside each partition the exact ray-cast test
-    runs per cell group. Hot cells (from the manifest's cell histogram or a
-    count pass) are SALTED: their points split into ``cell#salt`` sub-keys
-    and the polygon cover rows are REPLICATED to every salt (small side of
-    the skew), so no single task sees a whole hot cell.
+    Both sides are keyed by (cell, salt) and co-shuffled with
+    ``bucketed_group_apply``. Each partition builds the broadcast plan's
+    structure from its own cover rows (``build_polygon_cell_index`` over
+    its distinct polygons) and runs ``PipJoinStage`` over its points, so
+    the exact test is the broadcast kernel. Hot cells (from the manifest's
+    cell histogram or a count pass) are SALTED: their points take salts
+    ``0..num_salts-1`` round-robin and their cover rows are REPLICATED to
+    every salt (small side of the skew), so no single task sees a whole
+    hot cell. A point lands in one partition, and each partition indexes a
+    polygon once, so every match is emitted once.
 
     points_ds columns: (src_id, cx, cy, cell); polygons_ds: (poly_id, wkb).
     Returns (src_id, poly_id) rows, identical to the broadcast path.
@@ -178,92 +176,41 @@ def pip_join_shuffle(points_ds, polygons_ds, level: int = CELL_LEVEL, num_bucket
 
     from gdal_ray.ops.shuffle import bucketed_group_apply
 
-    covers = polygons_ds.map_batches(
-        explode_polygon_covers, fn_kwargs={"level": level}, batch_format="pyarrow"
+    hot = np.fromiter(hot_cells or (), dtype=np.int64)
+
+    def key_points(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        cell = np.asarray(batch["cell"], dtype=np.int64)
+        salt = np.where(np.isin(cell, hot), np.arange(n) % num_salts, 0)
+        return (batch.select(["src_id", "cx", "cy", "cell"])
+                .append_column("salt", pa.array(salt, pa.int64()))
+                .append_column("side", pa.array(np.full(n, "p"))))
+
+    def key_covers(batch: pa.Table) -> pa.Table:
+        covers = explode_polygon_covers(batch, level).select(["cell", "poly_id", "wkb"])
+        n = len(covers)
+        hot_rows = np.flatnonzero(np.isin(np.asarray(covers["cell"]), hot))
+        rows = np.concatenate([np.arange(n), np.repeat(hot_rows, num_salts - 1)])
+        salt = np.concatenate([np.zeros(n, np.int64),
+                               np.tile(np.arange(1, num_salts), len(hot_rows))])
+        return (covers.take(pa.array(rows, pa.int64()))
+                .append_column("salt", pa.array(salt, pa.int64()))
+                .append_column("side", pa.array(np.full(len(rows), "g"))))
+
+    both = points_ds.map_batches(key_points, batch_format="pyarrow").union(
+        polygons_ds.map_batches(key_covers, batch_format="pyarrow")
     )
 
-    hot = hot_cells or set()
-
-    def salt_points(batch: pa.Table) -> pa.Table:
-        cells = batch["cell"].to_pylist()
-        salted = [
-            f"{c}#{i % num_salts}" if c in hot else str(c) for i, c in enumerate(cells)
-        ]
-        return batch.append_column("skey", pa.array(salted, pa.string()))
-
-    def salt_covers(batch: pa.Table) -> pa.Table:
-        if not hot:
-            return batch.append_column(
-                "skey", pa.array([str(c) for c in batch["cell"].to_pylist()], pa.string())
-            )
-        tables = []
-        cells = batch["cell"].to_pylist()
-        plain_idx = [i for i, c in enumerate(cells) if c not in hot]
-        if plain_idx:
-            t = batch.take(pa.array(plain_idx))
-            tables.append(t.append_column(
-                "skey", pa.array([str(cells[i]) for i in plain_idx], pa.string())))
-        hot_idx = [i for i, c in enumerate(cells) if c in hot]
-        for s in range(num_salts if hot_idx else 0):
-            t = batch.take(pa.array(hot_idx))
-            tables.append(t.append_column(
-                "skey", pa.array([f"{cells[i]}#{s}" for i in hot_idx], pa.string())))
-        return pa.concat_tables(tables, promote_options="default") if tables else batch.append_column("skey", pa.array([], pa.string()))
-
-    pts = points_ds.map_batches(salt_points, batch_format="pyarrow")
-    cvs = covers.map_batches(salt_covers, batch_format="pyarrow")
-    # tag sides and union into one keyed shuffle
-    pts = pts.map_batches(
-        lambda b: b.append_column("side", pa.array(["p"] * len(b), pa.string())),
-        batch_format="pyarrow",
-    )
-    cvs = cvs.map_batches(
-        lambda b: b.append_column("side", pa.array(["g"] * len(b), pa.string())),
-        batch_format="pyarrow",
-    )
-    both = pts.union(cvs)
-
-    def join_partition(part: pd.DataFrame) -> pd.DataFrame:
-        out_src, out_poly = [], []
-        for _, g in part.groupby("skey", sort=False):
-            p = g[g["side"] == "p"]
-            q = g[g["side"] == "g"]
-            if len(p) == 0 or len(q) == 0:
-                continue
-            px = p["cx"].to_numpy(dtype=np.float64)
-            py = p["cy"].to_numpy(dtype=np.float64)
-            sid = p["src_id"].to_numpy()
-            # pull plain arrays out of the frame ONCE (no iterrows over a
-            # frame of binary blobs in the hot loop)
-            q_minx = q["minx"].to_numpy(dtype=np.float64)
-            q_miny = q["miny"].to_numpy(dtype=np.float64)
-            q_maxx = q["maxx"].to_numpy(dtype=np.float64)
-            q_maxy = q["maxy"].to_numpy(dtype=np.float64)
-            q_wkb = q["wkb"].to_numpy()
-            q_pid = q["poly_id"].to_numpy()
-            for j in range(len(q_pid)):
-                m = (
-                    (px >= q_minx[j]) & (px <= q_maxx[j])
-                    & (py >= q_miny[j]) & (py <= q_maxy[j])
-                )
-                if not m.any():
-                    continue
-                hit = np.zeros(int(m.sum()), dtype=bool)
-                sx = px[m]
-                sy = py[m]
-                for rings in W.decode_polygons(q_wkb[j]):
-                    inside = P.points_in_ring(sx, sy, rings[0])
-                    for hole in rings[1:]:
-                        if inside.any():
-                            inside &= ~P.points_in_ring(sx, sy, hole)
-                    hit |= inside
-                if hit.any():
-                    out_src.extend(sid[m][hit])
-                    out_poly.extend([q_pid[j]] * int(hit.sum()))
-        return pd.DataFrame({"src_id": pd.Series(out_src, dtype=str),
-                             "poly_id": pd.Series(out_poly, dtype=str)})
+    def join_partition(part: pd.DataFrame) -> pa.Table:
+        # a partition made only of one side's blocks lacks the other side's
+        # columns: reindex gives them, empty
+        side = part["side"].to_numpy()
+        polys = part[side == "g"].reindex(columns=["poly_id", "wkb"]).drop_duplicates("poly_id")
+        points = part[side == "p"].reindex(columns=["src_id", "cx", "cy", "cell"])
+        index = build_polygon_cell_index(pa.Table.from_pandas(polys, preserve_index=False), level)
+        return PipJoinStage(index)(pa.Table.from_pandas(points, preserve_index=False))
 
     return bucketed_group_apply(
-        both, ["skey"], join_partition, num_buckets,
+        both, ["cell", "salt"], join_partition, num_buckets,
         schema=pa.schema([("src_id", pa.string()), ("poly_id", pa.string())]),
     )

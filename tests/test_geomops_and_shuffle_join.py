@@ -55,39 +55,101 @@ def test_segmentize_and_swap():
     assert (GO.swap_xy(line) == np.array([[0, 0], [0, 10]])).all()
 
 
-def test_shuffle_pip_join_matches_broadcast(ray_session, corpus):
-    """pip_join_shuffle (cell-keyed, salted) == broadcast path == oracle."""
-    import ray.data as rd
+def test_pip_join_stage_empty_batch():
+    """A 0-row point batch gives the typed empty (src_id, poly_id) table;
+    the shuffle plan hits this for a bucket with cover rows but no points."""
+    import pyarrow as pa
 
+    from gdal_ray.geo import wkb as W
+    from gdal_ray.stages.pipjoin import PipJoinStage, build_polygon_cell_index
+
+    square = np.array([[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]], float)
+    polys = pa.table({"poly_id": ["a"], "wkb": [W.encode_polygon([square])]})
+    empty = pa.table({
+        "src_id": pa.array([], pa.string()), "cx": pa.array([], pa.float64()),
+        "cy": pa.array([], pa.float64()), "cell": pa.array([], pa.int64()),
+    })
+    out = PipJoinStage(build_polygon_cell_index(polys))(empty)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("src_id", pa.string()), ("poly_id", pa.string())])
+
+
+def test_shuffle_pip_join_matches_broadcast(ray_session, corpus):
+    """pip_join_shuffle (cell-keyed, salted) == oracle, row for row: no
+    match is lost or emitted twice."""
     from gdal_ray.pipelines import flagship as F
     from gdal_ray.sources import corpus as SRC
     from gdal_ray.stages.pipjoin import pip_join_shuffle
 
-    placed = F.placed_images(corpus, decode=False)
-    pts = placed.select_columns(["image_id", "cx", "cy", "cell"]).rename_columns(
-        {"image_id": "src_id"}
-    )
-    polys = SRC.read_polygons(corpus, columns=["poly_id", "wkb"])
-    # force salting through a fake hot-cell set: every cell with >50 points
-    import pyarrow.parquet as pq2
+    def points():
+        return F.placed_images(corpus, decode=False).select_columns(
+            ["image_id", "cx", "cy", "cell"]
+        ).rename_columns({"image_id": "src_id"})
 
-    got = pip_join_shuffle(pts, polys).to_pandas()
+    polys = SRC.read_polygons(corpus, columns=["poly_id", "wkb"])
     want = pq.read_table(f"{corpus}/oracle_pip.parquet").to_pandas()
     want_img = want[want["src_id"].str.startswith("img")]
-    g = set(map(tuple, got[["src_id", "poly_id"]].itertuples(index=False)))
     w = set(map(tuple, want_img[["src_id", "poly_id"]].itertuples(index=False)))
-    assert g == w
 
-    # salted variant produces identical rows
-    hist = placed.groupby("cell").count().to_pandas()
+    def check(got):
+        assert len(got) == len(want_img)
+        assert set(map(tuple, got[["src_id", "poly_id"]].itertuples(index=False))) == w
+
+    check(pip_join_shuffle(points(), polys).to_pandas())
+
+    # salted: every cell with >50 points is hot. At num_buckets=1 every
+    # salt of a hot cell shares one partition, whose polygon must still be
+    # tested once per point.
+    hist = points().groupby("cell").count().to_pandas()
     hot = set(hist[hist["count()"] > 50]["cell"].tolist())
     assert hot, "expected hot cells in the clustered fixture"
-    pts2 = F.placed_images(corpus, decode=False).select_columns(
-        ["image_id", "cx", "cy", "cell"]
-    ).rename_columns({"image_id": "src_id"})
-    got_salted = pip_join_shuffle(pts2, polys, hot_cells=hot).to_pandas()
-    gs = set(map(tuple, got_salted[["src_id", "poly_id"]].itertuples(index=False)))
-    assert gs == w
+    check(pip_join_shuffle(points(), polys, hot_cells=hot).to_pandas())
+    check(pip_join_shuffle(points(), polys, hot_cells=hot, num_buckets=1).to_pandas())
+
+
+def test_knn_distance_ties_follow_image_id(ray_session):
+    """Repeated coordinates and square-centre queries make distance ties
+    that k cuts through; the shuffle plan (1 and 8 buckets) and KnnStage
+    both rank ties by image_id, exactly as a brute-force (dist, image_id)
+    sort does."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from gdal_ray.stages.knn import KnnStage, build_centroid_cell_index, knn_shuffle
+
+    rng = np.random.default_rng(5)
+    # a 13x13 lattice, 100 km apart, crossing level-7 cell edges (~313 km);
+    # every lattice point carries two ids; rows and ids are shuffled
+    gx, gy = np.meshgrid(np.arange(-6, 7) * 100_000.0 + 1000, np.arange(-6, 7) * 100_000.0 + 1000)
+    px = np.repeat(gx.ravel(), 2)
+    py = np.repeat(gy.ravel(), 2)
+    order = rng.permutation(len(px))
+    px, py = px[order], py[order]
+    pid = np.array([f"p{i:04d}" for i in rng.permutation(len(px))])
+    # square centres (4 lattice points x 2 ids tied; some squares straddle a
+    # cell edge) and lattice points (2 ids tied at distance 0)
+    qx = np.array([51_000.0, 351_000.0, -249_000.0, 301_000.0, 1000.0])
+    qy = np.array([51_000.0, -249_000.0, 351_000.0, 301_000.0, -599_000.0])
+    qk = np.array([5, 3, 7, 1, 4])
+    qid = np.array([f"q{i}" for i in range(len(qx))])
+
+    want = []
+    for i in range(len(qx)):
+        d2 = (px - qx[i]) ** 2 + (py - qy[i]) ** 2
+        ranked = sorted(zip(d2, pid))[: qk[i]]
+        want += [(qid[i], r, im, float(np.sqrt(d))) for r, (d, im) in enumerate(ranked)]
+
+    def rows(t):
+        df = t.to_pandas() if isinstance(t, pa.Table) else t
+        df = df.sort_values(["query_id", "rank"])
+        return list(zip(df["query_id"], df["rank"], df["image_id"], df["dist"]))
+
+    queries = pa.table({"query_id": qid, "cx": qx, "cy": qy, "k": qk})
+    assert rows(KnnStage(build_centroid_cell_index(pid, px, py))(queries)) == want
+    points = rd.from_arrow(pa.table({"image_id": pid, "cx": px, "cy": py}))
+    for num_buckets in (1, 8):
+        got = knn_shuffle(points, rd.from_arrow(queries), k=int(qk.max()), num_buckets=num_buckets)
+        assert rows(got.to_pandas()) == want
 
 
 def test_ivf_recall_vs_exact(ray_session):
