@@ -2,10 +2,15 @@
 
 This is the BASELINE.json headline metric pipeline (images/sec end-to-end)
 re-expressed Ray-Data-first. Every image source here is ONE fused source,
-``fused_image_apply(corpus, kernel)``: each read task reads one row group of
-an images shard, appends the placement columns from the like-named
-placements shard (``_take_placements``, worker-cached) and runs ``kernel``
-on the result, so the raw image payload never enters the object store.
+``fused_image_apply(corpus, kernel)``: each read task reads a run of
+consecutive images row groups, appends to each the placement columns from
+its like-named placements shard (``_take_placements``, worker-cached) and
+runs ``kernel`` on it, so the raw image payload never enters the object
+store. Tasks are sized by the bytes they read (``_task_bounds``): a payload
+read runs one task per row group, a metadata-only read no more tasks than
+its bytes justify but one per Ray CPU where it has the row groups. The
+broadcast indexes (polygon cells, kNN centroids) are put once per Ray
+session and corpus (``_broadcast_ref``).
 ``placed_images`` is that source with the decode-stats + geo kernel
 (``decode=True``) or the geo kernel alone over (image_id, w, h).
 ``decoded_places`` is the headline's source: its kernel decodes every
@@ -132,12 +137,13 @@ def _merge_placements(batch: pa.Table, plc_dir: str) -> pa.Table:
     return pa.concat_tables(parts, promote_options="default")
 
 
-def _shard_units(corpus_dir: str):
-    """(img shard, plc shard, row_group) work units from the co-sharded
-    layout — one unit per row group so task granularity is a multiple of
-    core count. Driver cost is a metadata scan of the SHARD LIST (bounded
-    by shard count, not row count — at 100 TB this comes from the table
-    manifest the same way)."""
+def _shard_units(corpus_dir: str, columns: list | None = None):
+    """(img shard, plc shard, row_group, read_bytes) work units from the
+    co-sharded layout, one per row group, in shard order. ``read_bytes`` is
+    the uncompressed size of the row group's ``columns`` (all columns when
+    None), from the footer. Driver cost is a metadata scan of the SHARD
+    LIST (bounded by shard count, not row count — at 100 TB this comes from
+    the table manifest the same way)."""
     pairs = _copart_shards(corpus_dir)
     if pairs is None:
         return None
@@ -145,10 +151,39 @@ def _shard_units(corpus_dir: str):
 
     units = []
     for imgp, plcp in pairs:
-        nrg = pq.ParquetFile(imgp).metadata.num_row_groups
-        for rg in range(nrg):
-            units.append({"img_path": imgp, "plc_path": plcp, "rg": rg})
+        md = pq.ParquetFile(imgp).metadata
+        for rg in range(md.num_row_groups):
+            g = md.row_group(rg)
+            read_bytes = sum(
+                g.column(i).total_uncompressed_size
+                for i in range(g.num_columns)
+                if columns is None or g.column(i).path_in_schema.split(".")[0] in columns
+            )
+            units.append({"img_path": imgp, "plc_path": plcp, "rg": rg, "read_bytes": read_bytes})
     return units
+
+
+def _task_bounds(sizes: list, cpus: int, target_bytes: int) -> list:
+    """[start, stop) bounds that cut consecutive units of ``sizes`` bytes
+    into one group per read task: ``min(units, max(cpus, ceil(total /
+    target_bytes)))`` contiguous, non-empty groups of about equal bytes, in
+    order. A unit (row group) is never split, so a read whose bytes fill a
+    block per row group keeps one task per row group, and a small read
+    still gets a task per CPU (when it has that many units)."""
+    total = sum(sizes)
+    n = min(len(sizes), max(cpus, -(-total // target_bytes)))
+    bounds, start, acc = [], 0, 0
+    for i, size in enumerate(sizes[:-1]):
+        if len(bounds) == n - 1:
+            break
+        acc += size
+        # close at each 1/n of the bytes, or when every later unit must
+        # open a group of its own
+        if acc * n >= total * (len(bounds) + 1) or len(sizes) - i - 1 == n - 1 - len(bounds):
+            bounds.append((start, i + 1))
+            start = i + 1
+    bounds.append((start, len(sizes)))
+    return bounds
 
 
 def _session_key() -> tuple:
@@ -171,12 +206,17 @@ def fused_image_apply(
     columns: list | None = None,
     with_placements: bool = True,
 ) -> rd.Dataset:
-    """Run ``kernel(table) -> table`` INSIDE each read task over one images
+    """Run ``kernel(table) -> table`` INSIDE the read tasks, once per images
     row group (merged with its like-named placements shard when
     ``with_placements``). The raw image payload never enters the object
     store — only the kernel's (small) output rows do. ``placed_images``
     and the per-image raster queries (warp, global stats, histogram, …)
     all read the corpus through it.
+
+    Each task reads a contiguous run of row groups (``_task_bounds`` over
+    the bytes of ``columns`` each one holds, against Ray's
+    ``target_min_block_size``) and emits its rows in corpus order, so the
+    output is the same whatever the task count.
 
     ``kernel`` must return a correctly-TYPED table for empty input (it is
     called even when a filter inside leaves zero rows, so every block
@@ -185,7 +225,10 @@ def fused_image_apply(
     """
     import os
 
-    units = _shard_units(corpus_dir)
+    cols = columns
+    if with_placements and cols is not None and "image_id" not in cols:
+        cols = ["image_id"] + list(cols)
+    units = _shard_units(corpus_dir, cols)
     if units is None:
         # non-co-sharded corpus: parallel read, per-batch merge, same kernel
         src = rd.read_parquet(
@@ -202,29 +245,31 @@ def fused_image_apply(
             )
         return src.map_batches(kernel, batch_format="pyarrow", batch_size=None)
 
-    ds = rd.from_items(units, override_num_blocks=len(units))
-    cols = columns
-    if with_placements and cols is not None and "image_id" not in cols:
-        cols = ["image_id"] + list(cols)
+    bounds = _task_bounds(
+        [u["read_bytes"] for u in units],
+        cluster_cpus(),
+        rd.DataContext.get_current().target_min_block_size,
+    )
+    # one item (so one block, so one task) per group of units
+    ds = rd.from_items(
+        [{"units": units[a:b]} for a, b in bounds], override_num_blocks=len(bounds)
+    )
 
     def load(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
         outs = []
-        for img_path, plc_path, rg in zip(
-            batch["img_path"].to_pylist(),
-            batch["plc_path"].to_pylist(),
-            batch["rg"].to_pylist(),
-        ):
-            # use_threads=False: each task owns ONE CPU slot; pyarrow's
-            # internal thread pool would oversubscribe against the other
-            # concurrent tasks on the box
-            t = pq.ParquetFile(img_path).read_row_group(
-                rg, columns=cols, use_threads=False
-            )
-            if with_placements:
-                t = _take_placements(t, plc_path)
-            outs.append(kernel(t))
+        for group in batch["units"].to_pylist():
+            for u in group:
+                # use_threads=False: each task owns ONE CPU slot; pyarrow's
+                # internal thread pool would oversubscribe against the other
+                # concurrent tasks on the box
+                t = pq.ParquetFile(u["img_path"]).read_row_group(
+                    u["rg"], columns=cols, use_threads=False
+                )
+                if with_placements:
+                    t = _take_placements(t, u["plc_path"])
+                outs.append(kernel(t))
         return pa.concat_tables(outs, promote_options="default")
 
     return ds.map_batches(load, batch_format="pyarrow", batch_size=None)
@@ -298,20 +343,29 @@ def tile_assignments(placed: rd.Dataset, zooms=TILE_ZOOMS) -> rd.Dataset:
     )
 
 
-_POLY_INDEX_CACHE: dict = {}
+_BROADCAST_CACHE: dict = {}
+
+
+def _broadcast_ref(kind: str, corpus_dir: str, build):
+    """Object ref of ``build()``, put ONCE per (kind, Ray session, corpus).
+
+    A broadcast small side (polygon index, kNN centroid index) is built on
+    the driver with plain pyarrow (no Ray job) and kept while the session
+    lives: a new ref per query call would re-ship it and make every worker
+    rebuild the stage it caches under the ref."""
+    return memo(
+        _BROADCAST_CACHE, (kind, _session_key(), corpus_dir), lambda: ray.put(build()), 8
+    )
 
 
 def _polygon_index_ref(corpus_dir: str):
-    # small side: read + index on the driver (plain pyarrow, no Ray job),
-    # broadcast ONCE per process via ray.put (a long-lived service holds the
-    # broadcast handle; rebuilding per query call would re-ship it)
     import pyarrow.parquet as pq
 
     def build():
         table = pq.read_table(f"{corpus_dir}/polygons.parquet", columns=["poly_id", "wkb"])
-        return ray.put(build_polygon_cell_index(table, CELL_LEVEL))
+        return build_polygon_cell_index(table, CELL_LEVEL)
 
-    return memo(_POLY_INDEX_CACHE, (_session_key(), corpus_dir), build, 8)
+    return _broadcast_ref("polygons", corpus_dir, build)
 
 
 def pip_join_images(placed: rd.Dataset, corpus_dir: str) -> rd.Dataset:
@@ -363,32 +417,6 @@ def pip_join_query_points(corpus_dir: str) -> rd.Dataset:
     )
 
 
-def _image_centroids(corpus_dir: str):
-    """(image_id array, cx, cy) image centroids in EPSG:3857 meters —
-    metadata-only (ids + geotransforms), built from the two parquet files
-    with the same centroid kernel used everywhere else."""
-    import pyarrow.parquet as pq
-
-    imgs = pq.read_table(
-        f"{corpus_dir}/images.parquet", columns=["image_id", "w", "h"]
-    ).to_pandas()
-    plc = pq.read_table(f"{corpus_dir}/placements.parquet").to_pandas()
-    meta_df = imgs.merge(plc, on="image_id")
-    gt = np.stack(meta_df["gt"].to_numpy())
-    w = meta_df["w"].to_numpy(dtype=np.float64)
-    h = meta_df["h"].to_numpy(dtype=np.float64)
-    cx = gt[:, 0] + (w / 2) * gt[:, 1] + (h / 2) * gt[:, 2]
-    cy = gt[:, 3] + (w / 2) * gt[:, 4] + (h / 2) * gt[:, 5]
-    from gdal_ray.geo import mercator as M
-
-    deg = (meta_df["srs"] == "EPSG:4326").to_numpy()
-    if deg.any():
-        mx, my = M.latlon_to_meters(cy[deg], cx[deg])
-        cx[deg] = mx
-        cy[deg] = my
-    return meta_df["image_id"].to_numpy(), cx, cy
-
-
 def _corpus_num_images(corpus_dir: str) -> int:
     """Image row count from parquet footer metadata only (no data read)."""
     import os
@@ -407,16 +435,28 @@ def knn_images(corpus_dir: str) -> rd.Dataset:
 
     Broadcast fast path for reference sides up to KNN_BROADCAST_MAX rows:
     the index is metadata-only (id + centroid), built on the driver and
-    broadcast once. Above the cap this routes to ``knn_images_shuffle``
-    automatically (same output through the co-partitioned plan) — the
-    driver-side `_image_centroids` materialization is a deliberate
+    broadcast once per session. Above the cap this routes to
+    ``knn_images_shuffle`` automatically (same output through the
+    co-partitioned plan) — the driver-side centroid read is a deliberate
     small-side-only step, never applied to a corpus-scale table."""
+    import pyarrow.parquet as pq
+
     from gdal_ray.config import KNN_BROADCAST_MAX
 
     if _corpus_num_images(corpus_dir) > KNN_BROADCAST_MAX:
         return knn_images_shuffle(corpus_dir)
-    ids, cx, cy = _image_centroids(corpus_dir)
-    index_ref = ray.put(build_centroid_cell_index(ids, cx, cy))
+
+    def build():
+        # the one centroid kernel, over images (image_id, w, h) joined with
+        # the placements
+        imgs = pq.read_table(f"{corpus_dir}/images.parquet", columns=["image_id", "w", "h"])
+        plc = SRC._split_gt(pq.read_table(f"{corpus_dir}/placements.parquet"))
+        t = G.add_centroid_meters(imgs.join(plc, "image_id"))
+        return build_centroid_cell_index(
+            t["image_id"].to_numpy(), t["cx"].to_numpy(), t["cy"].to_numpy()
+        )
+
+    index_ref = _broadcast_ref("knn_centroids", corpus_dir, build)
     return _query_points(corpus_dir, ["query_id", "k"]).map_batches(
         knn_batch,
         fn_kwargs={"index_ref": index_ref},

@@ -5,6 +5,7 @@ reporting max abs diff for floats)."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -66,11 +67,12 @@ def compare(name, got: pd.DataFrame, want: pd.DataFrame):
     return problems
 
 
-def main(sf_dir: str, only=None):
-    sys.path.insert(0, "/root/repo")
+def main(sf_dir: str, only=None, cpus: int = 8):
+    # the checkout this script belongs to, not whichever one is on the path
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as E
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -112,5 +114,11 @@ def main(sf_dir: str, only=None):
 
 
 if __name__ == "__main__":
-    sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    main(sf, set(sys.argv[2:]) or None)
+    import argparse
+
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("sf_dir", help="an sf* table directory")
+    p.add_argument("queries", nargs="*", help="run only these queries() entries")
+    p.add_argument("--cpus", type=int, default=8, help="Ray CPUs (default 8)")
+    args = p.parse_args()
+    main(args.sf_dir, set(args.queries) or None, args.cpus)

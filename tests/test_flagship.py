@@ -3,6 +3,7 @@ invariants 1-2): exact tile assignment, exact PIP join rows, exact kNN,
 decode invariants (PSNR/allclose + caption byte-equality + phash check)."""
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -45,20 +46,27 @@ from ray.data import DataContext
 
 from gdal_ray.pipelines import flagship as F
 
+builds = []
+build_index = F.build_centroid_cell_index
+F.build_centroid_cell_index = lambda *a: builds.append(1) or build_index(*a)
 for _ in range(2):
     ray.init(address="local", num_cpus=1, include_dashboard=False,
              logging_level="ERROR", log_to_driver=False)
     DataContext.get_current().enable_progress_bars = False
     print("COUNT", F.pip_join_query_points(sys.argv[1]).count())
+    knn = [F.knn_images(sys.argv[1]).count() for _ in range(2)]
+    print("KNN", *knn, len(builds))
     ray.shutdown()
 """
 
 
 def test_broadcast_pip_after_ray_restart(ray_session, corpus):
-    """The cached polygon-index broadcast belongs to one Ray session: after
-    ray.shutdown(); ray.init() in the same process the broadcast PIP must
-    build a fresh ref, not reuse the dead session's. Runs in a subprocess
-    so the shared test session is left alone."""
+    """The cached broadcast refs (polygon index, kNN centroid index) belong
+    to one Ray session: after ray.shutdown(); ray.init() in the same
+    process the broadcast PIP and kNN must build fresh refs, not reuse the
+    dead session's ("owner is unknown"), and within a session two kNN calls
+    build the centroid index once. Runs in a subprocess so the shared test
+    session is left alone."""
     import os
     import subprocess
     import sys
@@ -66,6 +74,7 @@ def test_broadcast_pip_after_ray_restart(ray_session, corpus):
     from gdal_ray.pipelines import flagship as F
 
     want = F.pip_join_query_points(corpus).count()
+    want_knn = F.knn_images(corpus).count()
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
@@ -75,6 +84,8 @@ def test_broadcast_pip_after_ray_restart(ray_session, corpus):
     assert proc.returncode == 0, proc.stderr[-2000:]
     counts = [ln.split()[1] for ln in proc.stdout.splitlines() if ln.startswith("COUNT ")]
     assert counts == [str(want), str(want)]
+    knn = [ln.split()[1:] for ln in proc.stdout.splitlines() if ln.startswith("KNN ")]
+    assert knn == [[str(want_knn), str(want_knn), "1"], [str(want_knn), str(want_knn), "2"]]
 
 
 def test_knn_exact(ray_session, corpus):
@@ -104,6 +115,61 @@ def test_knn_exact_shuffle_path(ray_session, corpus):
     g = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
     w = want.sort_values(["query_id", "rank"]).reset_index(drop=True)
     np.testing.assert_allclose(g["dist"], w["dist"], rtol=1e-9)
+
+
+def test_task_bounds_pack_consecutive_units():
+    """Read tasks: min(units, max(cpus, ceil(bytes / target))) contiguous,
+    non-empty, in-order groups of whole units, about equal in bytes."""
+    from gdal_ray.pipelines import flagship as F
+
+    mib = 1 << 20
+    meta = [4466, 4466, 4466, 4071]  # (image_id, w, h) of the 1k-image corpus
+    payload = [6606294, 7563279, 7592375, 6216488]  # + (bytes, fmt)
+    singles = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert F._task_bounds(meta, 1, mib) == [(0, 4)]
+    assert F._task_bounds(meta, 2, mib) == [(0, 2), (2, 4)]
+    assert F._task_bounds(meta, 32, mib) == singles
+    for cpus in (1, 2, 32):
+        assert F._task_bounds(payload, cpus, mib) == singles
+
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(0, 3 * mib, 40).tolist()
+    for cpus in (1, 2, 32):
+        bounds = F._task_bounds(sizes, cpus, 8 * mib)
+        want_n = min(len(sizes), max(cpus, -(-sum(sizes) // (8 * mib))))
+        assert len(bounds) == want_n
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(sizes)
+        assert all(a < b for a, b in bounds)
+        assert all(b == a2 for (_, b), (a2, _) in zip(bounds, bounds[1:]))
+        share = sum(sizes) / want_n
+        assert all(sum(sizes[a:b]) <= share + max(sizes[a:b]) for a, b in bounds)
+
+
+def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
+    """At 2 Ray CPUs the metadata-only source packs the corpus' 4 row
+    groups into 2 read tasks, the payload source keeps one task per row
+    group, and the packed output equals the one-task-per-row-group output
+    row for row, order included."""
+    import ray
+    from ray.data import DataContext
+
+    from gdal_ray.pipelines import flagship as F
+
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
+
+    def run(ds):
+        # one output block per read task
+        mat = ds.materialize()
+        return mat.num_blocks(), pa.concat_tables(ray.get(mat.to_arrow_refs()))
+
+    monkeypatch.setattr(F, "cluster_cpus", lambda: 2)
+    n_meta, packed = run(F.placed_images(corpus, decode=False))
+    n_payload, _ = run(F.decoded_places(corpus))
+    assert (n_meta, n_payload) == (2, 4)
+    monkeypatch.setattr(F, "cluster_cpus", lambda: 32)
+    n_one, per_row_group = run(F.placed_images(corpus, decode=False))
+    assert n_one == 4
+    assert packed.equals(per_row_group)
 
 
 def test_decode_invariants(ray_session, corpus, placed):
