@@ -1,4 +1,5 @@
-"""Shuffle helpers: bucketed group-apply and hot-key salting.
+"""Shuffle helpers: bucketed group-apply, the co-bucketed equi-join and
+hot-key salting.
 
 ``Dataset.groupby(...).map_groups(fn)`` invokes ``fn`` once per GROUP — fine
 for thousands of rows per group, pathological for millions of tiny groups
@@ -7,6 +8,10 @@ HASH BUCKET of the keys instead (B buckets ~ a small multiple of the
 cluster CPU count), so the per-call unit is a whole partition and the
 caller's function handles all of its key-groups vectorized (pandas groupby
 inside the partition).
+
+``cobucket_join`` is the engine's one equi-join: both sides, tagged into one
+schema (``co_union``), sort on one hash bucket of their keys, and each sorted
+block joins its whole buckets with one ``pa.Table.join``. No actors hold CPUs.
 
 Salting (``salt_hot_keys``) splits keys whose row count exceeds a cap into
 ``key#i`` sub-keys before a keyed shuffle — the skew treatment SURVEY.md §4
@@ -19,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-__all__ = ["bucketed_group_apply", "salt_hot_keys"]
+__all__ = ["bucketed_group_apply", "cobucket_join", "co_union", "salt_hot_keys"]
 
 _HASH_SEED = np.uint64(0x9E3779B97F4A7C15)
 
@@ -31,7 +37,8 @@ def _hash_cols(batch: pa.Table, keys, num_buckets: int) -> np.ndarray:
         for k in keys:
             col = batch[k]
             if pa.types.is_integer(col.type):
-                v = np.asarray(col, dtype=np.int64).view(np.uint64)
+                # null keys never match; any bucket will do for them
+                v = np.asarray(pc.fill_null(col, 0), dtype=np.int64).view(np.uint64)
             else:
                 # process-independent string hash (Python's hash() is salted
                 # per process — workers would disagree on buckets)
@@ -43,6 +50,25 @@ def _hash_cols(batch: pa.Table, keys, num_buckets: int) -> np.ndarray:
                 )
             h = (h ^ v) * _HASH_SEED
     return (h % np.uint64(num_buckets)).astype(np.int64)
+
+
+def _bucket_of(keys, num_buckets: int):
+    """Batch fn appending ``__bucket``, the hash bucket of ``keys``."""
+
+    def add(batch: pa.Table) -> pa.Table:
+        # no schema metadata (a pandas block converts with a dict-valued
+        # entry): the sort's merge dedups schemas through a set
+        return batch.replace_schema_metadata(None).append_column(
+            "__bucket", pa.array(_hash_cols(batch, keys, num_buckets)))
+
+    return add
+
+
+def _per_sorted_block(ds, run_block, batch_format: str):
+    """Sort on ``__bucket`` and run ``run_block`` once per sorted block,
+    which holds whole buckets (a sort range never splits a key):
+    GroupedData.map_groups' plan, the empty-block path left to ``run_block``."""
+    return ds.sort("__bucket").map_batches(run_block, batch_size=None, batch_format=batch_format)
 
 
 def bucketed_group_apply(ds, keys, fn, num_buckets: int = 64, schema: pa.Schema | None = None):
@@ -67,9 +93,6 @@ def bucketed_group_apply(ds, keys, fn, num_buckets: int = 64, schema: pa.Schema 
     sort ranges are the other common source, alongside surplus read tasks
     on single-row-group files).
     """
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__bucket", pa.array(_hash_cols(batch, keys, num_buckets)))
 
     def _typed(out):
         if isinstance(out, pd.DataFrame):
@@ -97,13 +120,88 @@ def bucketed_group_apply(ds, keys, fn, num_buckets: int = 64, schema: pa.Schema 
         pdf = [p.to_pandas() if isinstance(p, pa.Table) else p for p in parts]
         return pd.concat(pdf, ignore_index=True) if len(pdf) > 1 else pdf[0]
 
-    # Mirrors GroupedData.map_groups' plan (sort on the key, then whole-block
-    # map with in-block grouping) but keeps control of the empty-block path.
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .sort("__bucket")
-        .map_batches(run_block, batch_size=None, batch_format="pandas")
+    return _per_sorted_block(
+        ds.map_batches(_bucket_of(keys, num_buckets), batch_format="pyarrow"), run_block, "pandas")
+
+
+def co_union(left, right, schema: pa.Schema):
+    """Both sides' rows as one Dataset in ``schema`` plus an int8 ``__side``
+    column (0 left, 1 right). Each side casts the ``schema`` columns it has
+    and fills the others with typed nulls, so every block a later shuffle
+    builds carries both sides' typed columns, even with one side's rows."""
+    out = schema.append(pa.field("__side", pa.int8()))
+
+    def project(side: int):
+        def fn(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            cols = [
+                t[f.name].cast(f.type) if f.name in t.column_names else pa.nulls(n, f.type)
+                for f in schema
+            ]
+            return pa.Table.from_arrays(cols + [pa.array(np.full(n, side, np.int8))], schema=out)
+
+        return fn
+
+    return left.map_batches(project(0), batch_format="pyarrow").union(
+        right.map_batches(project(1), batch_format="pyarrow")
     )
+
+
+_JOIN_BUCKETS = 64
+_JOIN_VERBS = {"inner": "inner", "left_outer": "left outer"}
+
+
+def cobucket_join(left, right, on, right_on=None, how: str = "inner", *,
+                  left_schema: pa.Schema, right_schema: pa.Schema):
+    """Equi-join (``how`` "inner" or "left_outer") of ``left.on`` =
+    ``right.right_on`` in one sort-based exchange. Columns, types and rows
+    are ``pa.Table.join``'s (so Ray ``Dataset.join``'s): null keys never
+    match, an empty side gives a typed result. ``*_schema`` are the sides'
+    schemas: Ray infers no ``map_batches`` output schema without running it."""
+    on = list(on)
+    right_on = list(right_on or on)
+    verb = _JOIN_VERBS[how]
+    out_schema = left_schema.empty_table().join(
+        right_schema.empty_table(), keys=on, right_keys=right_on, join_type=verb
+    ).schema
+    # the right keys travel in the left key columns (so both sides hash
+    # alike), the other right columns under internal names (so a name both
+    # sides carry stays two columns)
+    rpay = [n for n in right_schema.names if n not in right_on]
+    rtmp = [f"__r{i}" for i in range(len(rpay))]
+    combined = pa.schema(
+        list(left_schema)
+        + [pa.field(t, right_schema.field(n).type) for t, n in zip(rtmp, rpay)]
+        + [pa.field("__bucket", pa.int64())]
+    )
+    tagged = combined.append(pa.field("__side", pa.int8()))
+    bucket = _bucket_of(on, _JOIN_BUCKETS)
+
+    def join_block(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return out_schema.empty_table()
+        # Ray passes a 0-row block through map_batches untouched, so an
+        # input's 0-row pandas block reaches the sort untagged, and a sort
+        # range of mostly pandas partitions merges in pandas (an all-null
+        # column comes back null-typed)
+        block = block.select(tagged.names).cast(tagged)
+        side = block["__side"]
+        lt = block.filter(pc.equal(side, 0)).select(left_schema.names)
+        rt = block.filter(pc.equal(side, 1)).select(on + rtmp).rename_columns(right_on + rpay)
+        # use_threads=False: the task owns one CPU slot
+        joined = lt.join(rt, keys=on, right_keys=right_on, join_type=verb, use_threads=False)
+        return joined.select(out_schema.names).cast(out_schema)
+
+    # each side is bucketed before the union: a map after it does not fuse
+    both = co_union(
+        left.map_batches(bucket, batch_format="pyarrow"),
+        right.map_batches(
+            lambda t: bucket(t.select(right_on + rpay).rename_columns(on + rtmp)),
+            batch_format="pyarrow",
+        ),
+        combined,
+    )
+    return _per_sorted_block(both, join_block, "pyarrow")
 
 
 def salt_hot_keys(ds, key: str, cap: int, num_salts: int = 16, counts: dict | None = None):
@@ -131,13 +229,3 @@ def salt_hot_keys(ds, key: str, cap: int, num_salts: int = 16, counts: dict | No
         return batch.append_column("__salted", pa.array(out, pa.string()))
 
     return ds.map_batches(add, batch_format="pyarrow"), hot
-
-
-def adaptive_partitions(cap: int = 16, divisor: int = 4) -> int:
-    """Hash-join/shuffle partition count sized to the cluster: Ray's hash
-    aggregators are CPU-holding actors, so requesting more of them than
-    available cores deadlocks small sessions (and starves upstream task
-    pools on big ones — see flagship._default_partitions measurements)."""
-    from gdal_ray.ops.runtime import cluster_cpus
-
-    return max(2, min(cap, cluster_cpus() // divisor))

@@ -23,12 +23,10 @@ mid-pipeline materialization:
       ─▶ per-batch: explode_tiles  +  pip_join_batch(broadcast polygon index)
       ─▶ tagged (tile | pip) rows, streamed to the consumer
 
-One fallback rule: a corpus whose images and placements are not co-sharded
-(like-named part files) has no row-group units to fuse over.
-``fused_image_apply`` then reads with ``read_parquet`` and runs the same
-kernel per batch, and ``placed_images`` uses Ray's hash join
-(``join_strategy="hash"``). For inputs too large to broadcast, the spatial
-questions have a second plan with the same kernels:
+The corpus must be co-sharded: its images and placements tables are
+like-named part files (``fixtures/generate.py`` writes them so), and
+``fused_image_apply`` rejects any other layout. For inputs too large to
+broadcast, the spatial questions have a second plan with the same kernels:
 stages/pipjoin.pip_join_shuffle (hot cells salted) runs ``PipJoinStage``
 per (cell, salt) partition, and ``knn_images_shuffle`` selects through the
 same ``topk_rows`` as ``KnnStage``.
@@ -58,23 +56,9 @@ __all__ = [
 ]
 
 
-def _default_partitions() -> int:
-    """Hash-join partition count.
-
-    The join's shuffle aggregators are ACTORS holding a CPU each: sizing
-    them at ~cpus/4 leaves the upstream decode/read task pools enough
-    slots to stream (measured on 20k images @32 CPUs: 8 partitions -> 22 s,
-    32 partitions -> 163 s from aggregator starvation). On a multi-node
-    cluster scale this with aggregate cores, not per-node cores.
-    """
-    return max(4, min(16, cluster_cpus() // 4))
-
-
 def decoded_meta(corpus_dir: str) -> rd.Dataset:
-    """images -> decoded per-image metrics (bytes dropped).
-
-    Decode is stateless -> plain task pool (elastic, no actor reservation
-    that could starve the join's shuffle aggregators on small clusters)."""
+    """images -> decoded per-image metrics (bytes dropped), without the
+    placements. Decode is stateless, so it runs in a plain task pool."""
     from gdal_ray.stages.decode import decode_stats
 
     images = SRC.read_images(corpus_dir)
@@ -119,9 +103,10 @@ def _take_placements(table: pa.Table, plc_path: str) -> pa.Table:
 
 
 def _merge_placements(batch: pa.Table, plc_dir: str) -> pa.Table:
-    """Co-partitioned merge of a batch read with ``include_paths``: each run
+    """Co-partitioned merge of a batch read with a ``path`` column: each run
     of rows from one images shard takes its placement columns from the
-    like-named placements shard. No shuffle; batches may span shards."""
+    like-named placements shard. Engine reads go through
+    ``fused_image_apply``; perfbench's traced replay times this merge."""
     import itertools
     import os
 
@@ -220,30 +205,16 @@ def fused_image_apply(
 
     ``kernel`` must return a correctly-TYPED table for empty input (it is
     called even when a filter inside leaves zero rows, so every block
-    carries the output schema). Falls back to the unfused
-    read→merge→kernel plan when the corpus is not co-sharded.
+    carries the output schema). The corpus must be co-sharded (like-named
+    images/placements part files); any other layout is a ValueError.
     """
-    import os
-
     cols = columns
     if with_placements and cols is not None and "image_id" not in cols:
         cols = ["image_id"] + list(cols)
     units = _shard_units(corpus_dir, cols)
     if units is None:
-        # non-co-sharded corpus: parallel read, per-batch merge, same kernel
-        src = rd.read_parquet(
-            os.path.join(corpus_dir, "images.parquet"),
-            columns=columns,
-            include_paths=with_placements,
-        )
-        if with_placements:
-            src = src.map_batches(
-                _merge_placements,
-                fn_kwargs={"plc_dir": os.path.join(corpus_dir, "placements.parquet")},
-                batch_format="pyarrow",
-                batch_size=IMAGE_BATCH,
-            )
-        return src.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+        raise ValueError(f"{corpus_dir}: images.parquet and placements.parquet must be "
+                         "directories of like-named part files (the co-sharded layout)")
 
     bounds = _task_bounds(
         [u["read_bytes"] for u in units],
@@ -303,38 +274,13 @@ def decoded_places(corpus_dir: str) -> rd.Dataset:
     return fused_image_apply(corpus_dir, _decoded_geo, columns=["image_id", "bytes", "fmt", "w", "h"])
 
 
-def placed_images(
-    corpus_dir: str,
-    decode: bool = True,
-    num_partitions: int | None = None,
-    join_strategy: str = "auto",
-) -> rd.Dataset:
-    """(decoded) images ⋈ placements with centroid/bbox/cell columns added.
-
-    join_strategy:
-      - "copartition" (default when shard layouts align): the fused source,
-        ``fused_image_apply`` with the decode + geo kernel (or the geo kernel
-        alone over (image_id, w, h) when ``decode`` is False) — no shuffle;
-      - "hash": Ray's hash-shuffle join (the general path when the two
-        tables are not co-sharded).
-    """
-    if join_strategy in ("auto", "copartition") and _copart_shards(corpus_dir):
-        if decode:
-            return fused_image_apply(corpus_dir, _decode_geo)
-        return fused_image_apply(corpus_dir, _add_geo, columns=["image_id", "w", "h"])
+def placed_images(corpus_dir: str, decode: bool = True) -> rd.Dataset:
+    """(decoded) images ⋈ placements with centroid/bbox/cell columns added:
+    ``fused_image_apply`` with the decode + geo kernel, or the geo kernel
+    alone over (image_id, w, h) when ``decode`` is False. No shuffle."""
     if decode:
-        left = decoded_meta(corpus_dir)
-    else:
-        left = SRC.read_images(corpus_dir, columns=["image_id", "w", "h"])
-    joined = left.join(
-        SRC.read_placements(corpus_dir),
-        join_type="inner",
-        num_partitions=num_partitions or _default_partitions(),
-        on=("image_id",),
-    )
-    # batch_size=None: operate on whole incoming blocks (a large explicit
-    # batch_size would make the fused task bundler wait for that many rows)
-    return joined.map_batches(_add_geo, batch_format="pyarrow", batch_size=None)
+        return fused_image_apply(corpus_dir, _decode_geo)
+    return fused_image_apply(corpus_dir, _add_geo, columns=["image_id", "w", "h"])
 
 
 def tile_assignments(placed: rd.Dataset, zooms=TILE_ZOOMS) -> rd.Dataset:

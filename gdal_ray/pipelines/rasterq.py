@@ -161,9 +161,7 @@ def q_point_query(sf_dir: str):
     covers (same key space as the PIP join), stage B hash-co-partitions the
     candidates with the image payload on image_id — no broadcast of the
     point table, no O(images x points) scan; see stages/pointquery.py."""
-    import os
-
-    from gdal_ray.pipelines.flagship import _merge_placements, _query_points, placed_images
+    from gdal_ray.pipelines.flagship import _query_points, fused_image_apply, placed_images
     from gdal_ray.stages.pointquery import point_footprint_candidates, sample_at_points
 
     d = corpus_for_sf(sf_dir)
@@ -176,20 +174,11 @@ def q_point_query(sf_dir: str):
     )
     cand = point_footprint_candidates(points, footprints)
 
-    payload = _rpt(
-        os.path.join(d, "images.parquet"), include_paths=True
-    ).map_batches(
-        _merge_placements,
-        fn_kwargs={"plc_dir": os.path.join(d, "placements.parquet")},
-        batch_format="pyarrow",
-        batch_size=64,
-    ).map_batches(
-        lambda b: b.select(
-            ["image_id", "bytes", "fmt", "w", "h", "srs"]
-            + [f"gt{i}" for i in range(6)]
-        ),
-        batch_format="pyarrow",
-        batch_size=None,
+    payload = fused_image_apply(
+        d,
+        lambda t: t.select(["image_id", "bytes", "fmt", "w", "h", "srs"]
+                           + [f"gt{i}" for i in range(6)]),
+        columns=["image_id", "bytes", "fmt", "w", "h"],
     )
 
     out_schema = pa.schema(

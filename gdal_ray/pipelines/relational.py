@@ -114,16 +114,13 @@ def q_filter_parts(sf_dir: str):
 
 
 def q_join_segment_revenue(sf_dir: str):
-    """Hash equi-join (OGR SQL JOIN, ogr_gensql.cpp:1497) + aggregate.
+    """Equi-join (OGR SQL JOIN, ogr_gensql.cpp:1497) + aggregate.
 
     orders:customer is N:1, so each batch pre-combines per o_custkey
     (quantized revenue sum + order count) BEFORE the join — the shuffle
     ships at most one row per (batch, custkey) instead of every order.
-    Join partition count is sized to the session (adaptive_partitions):
-    the shuffle aggregators are CPU-holding actors, so a fixed count
-    starves small sessions and under-uses big ones.
     """
-    from gdal_ray.ops.shuffle import adaptive_partitions
+    from gdal_ray.ops.shuffle import cobucket_join
 
     orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     customer = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
@@ -136,12 +133,14 @@ def q_join_segment_revenue(sf_dir: str):
         g = q.group_by("o_custkey").aggregate([("rev4", "sum"), ("rev4", "count")])
         return g.rename_columns(["o_custkey", "rev4", "n"])
 
-    joined = orders.map_batches(combine, batch_format="pyarrow").join(
+    joined = cobucket_join(
+        orders.map_batches(combine, batch_format="pyarrow"),
         customer,
-        join_type="inner",
-        num_partitions=adaptive_partitions(),
         on=("o_custkey",),
         right_on=("c_custkey",),
+        left_schema=pa.schema([orders.schema().base_schema.field("o_custkey"),
+                               ("rev4", pa.int64()), ("n", pa.int64())]),
+        right_schema=customer.schema().base_schema,
     )
 
     # per-block partial combine: the join output collapses to <= 5 segment

@@ -38,7 +38,6 @@ from gdal_ray.geo.mercator import TILE_SIZE
 from gdal_ray.geo import affine as A
 from gdal_ray.geo import mercator as M
 from gdal_ray.io import codec as C
-from gdal_ray.sources import corpus as SRC
 from gdal_ray.state.manifest import Manifest, fragment_lineage
 
 __all__ = ["render_partial_tiles", "compose_tiles", "build_overview", "tile_pyramid", "export_tile_tree"]
@@ -264,35 +263,17 @@ def tile_pyramid(corpus_dir: str, out_dir: str, z_base: int = 6, z_min: int = 4)
     n_pending_images = pending_placed.count() if done else None
     composed = None
     if n_pending_images != 0:
-        # bytes come through the storage-co-partitioned merge (same fused
-        # shape as the flagship source) — no hash join, the payload never
-        # shuffles; the pending filter drops done-group images BEFORE the
+        # the payload is read inside the fused source's tasks (it never
+        # shuffles); the pending filter drops done-group images BEFORE the
         # expensive render
-        from gdal_ray.pipelines.flagship import _copart_shards, _merge_placements
+        from gdal_ray.pipelines.flagship import fused_image_apply
         from gdal_ray.stages import geo as G
 
-        pairs = _copart_shards(corpus_dir)
-        if pairs:
-            src = rd.read_parquet(
-                os.path.join(corpus_dir, "images.parquet"), include_paths=True
-            )
-            placed_b = src.map_batches(
-                _merge_placements,
-                fn_kwargs={"plc_dir": os.path.join(corpus_dir, "placements.parquet")},
-                batch_format="pyarrow",
-                batch_size=IMAGE_BATCH,
-            )
-            placed_b = placed_b.map_batches(
-                G.add_bbox_meters, batch_format="pyarrow", batch_size=None
-            )
-        else:  # non-co-sharded fallback: the general hash join, joining
-            # ONLY the pending images' bytes (filter before the shuffle)
-            imgs = SRC.read_images(corpus_dir, columns=["image_id", "bytes", "fmt"])
-            placed_b = pending_placed.join(
-                imgs, join_type="inner", num_partitions=8, on=("image_id",)
-            )
-        if pairs and done:
-            placed_b = placed_b.map_batches(groups_of_bbox, batch_format="pyarrow")
+        def payload(t: pa.Table) -> pa.Table:
+            t = G.add_bbox_meters(t)
+            return groups_of_bbox(t) if done else t
+
+        placed_b = fused_image_apply(corpus_dir, payload)
         partials = placed_b.map_batches(
             render_partial_tiles, fn_kwargs={"z": z_base}, batch_format="pyarrow", batch_size=IMAGE_BATCH
         )

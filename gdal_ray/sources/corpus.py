@@ -14,7 +14,6 @@ import ray.data as rd
 
 __all__ = [
     "read_images",
-    "read_placements",
     "read_polygons",
     "read_query_points",
     "read_rasters",
@@ -28,34 +27,47 @@ def _path(corpus_dir: str, name: str) -> str:
 
 
 def read_parquet_tight(path: str, columns=None, **kw) -> rd.Dataset:
-    """``read_parquet`` with read-task count capped at the ROW-GROUP count —
-    but ONLY when that cap still provides at least one block per CPU.
+    """``read_parquet`` with the files' schema metadata stripped, and the
+    read-task count capped at the ROW-GROUP count — but ONLY when that cap
+    still provides at least one block per CPU.
 
-    Ray's default splits a file into ~CPU-count read tasks; surplus tasks
-    on small tables emit 0-row schema-less blocks that downstream operators
-    log "RefBundle with a different schema" warnings for. Capping at the
-    row-group total (footer metadata only) removes them — but a cap BELOW
-    the CPU count would serialize every fused downstream stage (measured:
-    a 100-row single-row-group rasters table went 3.8 s -> 17 s), so small
-    tables keep Ray's default split and the cosmetic warnings."""
-    if "override_num_blocks" not in kw:
-        import pyarrow.parquet as pq
+    Metadata: Ray dedups block schemas through a set, and a schema with
+    metadata (pandas writes a dict-valued entry) cannot be hashed, so
+    every read task logged "Failed to hash the schemas". The read takes
+    the first file's schema (``columns`` only) without it.
 
-        from gdal_ray.ops.runtime import cluster_cpus
+    Task count: Ray's default splits a file into ~CPU-count read tasks;
+    surplus tasks on small tables emit 0-row schema-less blocks that
+    downstream operators log "RefBundle with a different schema" warnings
+    for. Capping at the row-group total (footer metadata only) removes
+    them — but a cap BELOW the CPU count would serialize every fused
+    downstream stage (measured: a 100-row single-row-group rasters table
+    went 3.8 s -> 17 s), so small tables keep Ray's default split and the
+    cosmetic warnings."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-        try:
-            if os.path.isdir(path):
-                nrg = sum(
-                    pq.ParquetFile(os.path.join(path, f)).metadata.num_row_groups
-                    for f in os.listdir(path)
-                    if f.endswith(".parquet")
-                )
-            else:
-                nrg = pq.ParquetFile(path).metadata.num_row_groups
+    from gdal_ray.ops.runtime import cluster_cpus
+
+    try:
+        if os.path.isdir(path):
+            files = sorted(
+                os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")
+            )
+        else:
+            files = [path]
+        if "override_num_blocks" not in kw:
+            nrg = sum(pq.ParquetFile(f).metadata.num_row_groups for f in files)
             if nrg >= cluster_cpus():
                 kw["override_num_blocks"] = nrg
-        except Exception:
-            pass
+        if "schema" not in kw:
+            full = pq.read_schema(files[0])
+            kw["schema"] = pa.schema(
+                [pa.field(f.name, f.type, f.nullable)
+                 for f in (full if columns is None else map(full.field, columns))]
+            )
+    except Exception:
+        pass
     return rd.read_parquet(path, columns=columns, **kw)
 
 
@@ -97,13 +109,6 @@ def _split_gt(batch):
     for i in range(6):
         batch = batch.append_column(f"gt{i}", pa.array(m[:, i]))
     return batch
-
-
-def read_placements(corpus_dir: str, columns=None, **kw) -> rd.Dataset:
-    ds = read_table(corpus_dir, "placements", columns=columns, **kw)
-    if columns is None or "gt" in columns:
-        ds = ds.map_batches(_split_gt, batch_format="pyarrow")
-    return ds
 
 
 def read_polygons(corpus_dir: str, columns=None, **kw) -> rd.Dataset:

@@ -93,6 +93,7 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 __all__ = ["execute_sql", "parse", "SQLError"]
 
@@ -985,13 +986,10 @@ def _eval(node, df: pd.DataFrame):
     raise SQLError(f"bad node {node!r}")
 
 
-def _filter_df(df: pd.DataFrame, node) -> pd.DataFrame:
-    """Apply a WHERE/HAVING predicate; a scalar mask (e.g. a folded
+def _mask(df: pd.DataFrame, node) -> np.ndarray:
+    """A WHERE/HAVING predicate's row mask; a scalar (e.g. a folded
     non-correlated EXISTS) keeps or drops the whole batch."""
-    m = np.asarray(_eval(node, df), dtype=bool)
-    if m.ndim == 0:
-        return df if bool(m) else df.iloc[0:0]
-    return df[m]
+    return np.broadcast_to(np.asarray(_eval(node, df), dtype=bool), (len(df),))
 
 
 def _columns_of(node, acc: set):
@@ -1480,21 +1478,24 @@ def execute_sql(sql: str, sf_dir):
     return _plan(q, sf_dir)
 
 
+def _distinct(ds, names: list):
+    """Distinct rows over ``names`` in one bucketed shuffle, as Arrow blocks
+    like its 0-row ones (a sort fails over mixed block types)."""
+    from gdal_ray.ops.shuffle import bucketed_group_apply
+
+    return bucketed_group_apply(
+        ds, names, lambda p: p.drop_duplicates(names), 16
+    ).map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
+
+
 def _plan_union(q: dict, sf_dir: str):
     """UNION [ALL] chain: members plan independently and concatenate with
     Dataset.union (no shuffle); each plain UNION step dedups the
     accumulated result (left-associative, like DuckDB/standard SQL) with
     one bucketed drop-duplicates shuffle. Columns match by POSITION; the
     first member's names win (standard SQL)."""
-    from gdal_ray.ops.shuffle import bucketed_group_apply
-
     parts = [_plan(m, sf_dir) for m in q["union"]]
     names = list(parts[0].schema().names)
-
-    def dedup(ds):
-        return bucketed_group_apply(
-            ds, names, lambda p: p.drop_duplicates(names), 16
-        )
 
     out = parts[0]
     for ds2, is_all in zip(parts[1:], q["union_all"]):
@@ -1502,14 +1503,12 @@ def _plan_union(q: dict, sf_dir: str):
         if len(names2) != len(names):
             raise SQLError("UNION members must have the same column count")
         if names2 != names:
-            mapping = dict(zip(names2, names))
             ds2 = ds2.map_batches(
-                lambda df, m=mapping: df.rename(columns=m),
-                batch_format="pandas",
+                lambda t: t.rename_columns(names), batch_format="pyarrow"
             )
         out = out.union(ds2)
         if not is_all:
-            out = dedup(out)
+            out = _distinct(out, names)
     for c, _ in q["order_by"]:
         if not isinstance(c, str) or c not in names:
             raise SQLError(f"unknown ORDER BY column {c!r} "
@@ -1518,6 +1517,26 @@ def _plan_union(q: dict, sf_dir: str):
         out = out.sort([c for c, _ in q["order_by"]],
                        descending=[d for _, d in q["order_by"]])
     return _limit_offset(out, q["limit"], q.get("offset"))
+
+
+def _arrow_table(out: dict, passed: dict, schema):
+    """``out`` (pandas Series) as an Arrow block; a column passed through
+    from input column ``passed[name]`` keeps its ``schema`` type. (A 0-row
+    pandas block's object columns have none: Ray's size estimate fails.)"""
+    return pa.table({
+        n: pa.array(v, type=schema.field(passed[n]).type
+                    if passed.get(n) in schema.names else None, from_pandas=True)
+        for n, v in out.items()
+    })
+
+
+def _arrow_schema(ds):
+    """Arrow schema of a scan (Ray infers it for a parquet read; a
+    Dataset of pandas blocks is converted from its first row)."""
+    s = ds.schema().base_schema
+    if isinstance(s, pa.Schema):
+        return s
+    return pa.Schema.from_pandas(ds.limit(1).to_pandas(), preserve_index=False)
 
 
 def _plan(q: dict, sf_dir: str):
@@ -1685,17 +1704,19 @@ def _plan(q: dict, sf_dir: str):
             where = _and_all(post) if post else None
 
     if join_scans:
-        from gdal_ray.ops.shuffle import adaptive_partitions
+        from gdal_ray.ops.shuffle import cobucket_join
 
         lcols = sorted(needed & set(primary_cols))
+        pschema = _arrow_schema(ds)
+        lschema = pa.schema([pschema.field(c) for c in lcols])
         ds = ds.select_columns(lcols)
         if pre_where is not None:
             pw = pre_where
 
-            def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-                return _filter_df(df, pw)
+            def prefilter(batch: pa.Table) -> pa.Table:
+                return batch.filter(pa.array(_mask(batch.to_pandas(), pw)))
 
-            ds = ds.map_batches(prefilter, batch_format="pandas")
+            ds = ds.map_batches(prefilter, batch_format="pyarrow")
         have = set(lcols)
         for j, ds2, im in join_scans:
             la = j.get("left_alias", q.get("alias", q["table"]))
@@ -1716,13 +1737,14 @@ def _plan(q: dict, sf_dir: str):
             ren = {inv[ic]: ic for ic in rcols if inv[ic] != ic}
             if ren:
                 side = side.rename_columns(ren)
-            ds = ds.join(
-                side,
-                join_type="left_outer",
-                num_partitions=adaptive_partitions(),
-                on=(lkey,),
-                right_on=(rkey,),
+            s2 = _arrow_schema(ds2)
+            rschema = pa.schema([s2.field(inv[ic]).with_name(ic) for ic in rcols])
+            ds = cobucket_join(
+                ds, side, on=(lkey,), right_on=(rkey,), how="left_outer",
+                left_schema=lschema, right_schema=rschema,
             )
+            # the join keeps the left key and drops the right one
+            lschema = pa.schema(list(lschema) + [f for f in rschema if f.name != rkey])
             have |= set(rcols)
     else:
         cols = sorted(needed & set(avail))
@@ -1747,9 +1769,10 @@ def _plan(q: dict, sf_dir: str):
     select = q["select"]
 
     if not is_agg:
-        def project(df: pd.DataFrame) -> pd.DataFrame:
+        def project(batch: pa.Table) -> pa.Table:
+            df = batch.to_pandas()
             if where is not None:
-                df = _filter_df(df, where)
+                df = df[_mask(df, where)]
             out = {}
             for name, (e, _) in zip(out_names, select):
                 v = _eval(e, df)
@@ -1763,15 +1786,13 @@ def _plan(q: dict, sf_dir: str):
                 out[sname] = v if isinstance(v, pd.Series) else pd.Series(
                     np.full(len(df), v), index=df.index
                 )
-            return pd.DataFrame(out)
+            passed = {n: e[1] for n, (e, _) in zip(out_names, select) if e[0] == "col"}
+            passed.update({h: h for h in hidden})
+            return _arrow_table(out, passed, batch.schema)
 
-        ds = ds.map_batches(project, batch_format="pandas")
+        ds = ds.map_batches(project, batch_format="pyarrow")
         if q["distinct"]:
-            from gdal_ray.ops.shuffle import bucketed_group_apply
-
-            ds = bucketed_group_apply(
-                ds, out_names, lambda p: p.drop_duplicates(out_names), 16
-            )
+            ds = _distinct(ds, out_names)
     else:
         group_by = q["group_by"] or []
         # per-select-item plan: each aggregate lands in a staging column.
@@ -1784,9 +1805,14 @@ def _plan(q: dict, sf_dir: str):
 
         ge_map = dict(grp_exprs)
 
-        def stage(df: pd.DataFrame) -> pd.DataFrame:
+        passed = {g: g for g in group_by if g not in ge_map}
+        passed.update({cname: arg[1] for cname, kind, arg, star in agg_specs
+                       if arg[0] == "col" and not (kind == "count" and not star)})
+
+        def stage(batch: pa.Table) -> pa.Table:
+            df = batch.to_pandas()
             if where is not None:
-                df = _filter_df(df, where)
+                df = df[_mask(df, where)]
             out = {}
             for g in group_by:
                 if g in ge_map:
@@ -1803,9 +1829,9 @@ def _plan(q: dict, sf_dir: str):
                 if kind == "count" and not star:
                     v = v.notna().astype(np.int64)
                 out[cname] = v
-            return pd.DataFrame(out)
+            return _arrow_table(out, passed, batch.schema)
 
-        staged = ds.map_batches(stage, batch_format="pandas")
+        staged = ds.map_batches(stage, batch_format="pyarrow")
         cd_specs = [s for s in agg_specs if s[1] == "count_distinct"]
         if cd_specs and group_by:
             # COUNT(DISTINCT) under GROUP BY: ONE bucketed shuffle computes
@@ -1816,8 +1842,7 @@ def _plan(q: dict, sf_dir: str):
             # join whose inputs carried schema-less 0-row blocks per
             # surplus hash partition — pyarrow's join rejects a partition
             # fed only those: "No match ... FieldRef").
-            from gdal_ray.ops.shuffle import (adaptive_partitions,
-                                              bucketed_group_apply)
+            from gdal_ray.ops.shuffle import bucketed_group_apply
 
             def per_bucket(p: pd.DataFrame, specs=tuple(agg_specs),
                            keys=tuple(group_by)) -> pd.DataFrame:
@@ -1843,7 +1868,7 @@ def _plan(q: dict, sf_dir: str):
 
             agged = bucketed_group_apply(
                 staged, group_by, per_bucket,
-                num_buckets=max(16, adaptive_partitions() * 2),
+                num_buckets=32,
             )
         else:
             ray_aggs = []
@@ -1877,8 +1902,6 @@ def _plan(q: dict, sf_dir: str):
             )
             if not group_by:
                 # global aggregate returns a dict; lift back into a Dataset
-                import pyarrow as pa
-
                 row = agged
                 agged = rd.from_arrow(
                     pa.table({k: [v] for k, v in row.items()} or {"__base_r": [0]})
@@ -1905,7 +1928,7 @@ def _plan(q: dict, sf_dir: str):
             if len(df) == 0 and not {
                 c + "_r" for c, _, _, _ in agg_specs
             } <= set(df.columns):
-                return pd.DataFrame()
+                return pa.table({})
             sub = {}
             for i, (cname, kind, _, _) in enumerate(agg_specs):
                 col = df[cname + "_r"]
@@ -1930,12 +1953,13 @@ def _plan(q: dict, sf_dir: str):
                 )
             res = pd.DataFrame(out)
             if len(res) == 0:
-                # 0-row object columns confuse Ray's block size estimator;
-                # pin them to a concrete string dtype (same Arrow schema)
+                # a 0-row object column has no type; pin it to string
                 for c in res.columns:
                     if res[c].dtype == object:
                         res[c] = res[c].astype("string")
-            return res
+            # an Arrow block, like the 0-row blocks the shuffles above pass
+            # through untouched: a sort fails over mixed block types
+            return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
 
         ds = agged.map_batches(finish, batch_format="pandas")
 

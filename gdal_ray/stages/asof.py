@@ -21,7 +21,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.ops.shuffle import bucketed_group_apply
+from gdal_ray.ops.shuffle import bucketed_group_apply, co_union
 
 __all__ = ["asof_join"]
 
@@ -34,37 +34,20 @@ def asof_join(left_ds, right_ds, key_col: str, ts_col: str,
     where no match). ``*_schema`` list each side's columns (key/ts must
     share names); arrow types drive the null columns of the union."""
     rpay = [f for f in right_schema if f.name not in (key_col, ts_col)]
+    rout = [suffix + f.name for f in rpay]
     out_fields = list(left_schema) + [
-        pa.field(suffix + f.name, f.type) for f in rpay]
-    combined = pa.schema(out_fields + [pa.field("__side", pa.int8())])
+        pa.field(name, f.type) for name, f in zip(rout, rpay)]
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            n = len(t)
-            arrays = {}
-            for f in combined:
-                if f.name == "__side":
-                    arrays[f.name] = pa.array([side] * n, pa.int8())
-                elif side == 0:
-                    arrays[f.name] = (t[f.name]
-                                      if f.name in t.column_names
-                                      else pa.nulls(n, f.type))
-                elif f.name in (key_col, ts_col):
-                    arrays[f.name] = t[f.name]
-                elif f.name.startswith(suffix) and \
-                        f.name[len(suffix):] in t.column_names:
-                    arrays[f.name] = t[f.name[len(suffix):]]
-                else:
-                    arrays[f.name] = pa.nulls(n, f.type)
-            return pa.table(arrays)
+    def rename_payload(t: pa.Table) -> pa.Table:
+        return t.select([key_col, ts_col] + [f.name for f in rpay]).rename_columns(
+            [key_col, ts_col] + rout)
 
-        return fn
-
-    both = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        right_ds.map_batches(tag(1), batch_format="pyarrow"))
+    both = co_union(
+        left_ds, right_ds.map_batches(rename_payload, batch_format="pyarrow"),
+        pa.schema(out_fields))
 
     lcols = [f.name for f in left_schema]
-    rcols = [key_col, ts_col] + [suffix + f.name for f in rpay]
+    rcols = [key_col, ts_col] + rout
 
     def join_part(part: pd.DataFrame) -> pd.DataFrame:
         l = part[part["__side"] == 0][lcols]

@@ -532,35 +532,32 @@ def text_near_dup_candidates(docs_ds, num_buckets: int = 32, **minhash_kw):
     )
 
 
-def verified_text_near_dups(docs_ds, jaccard_threshold: float = 0.8,
-                            num_partitions: int | None = None, **minhash_kw):
+def verified_text_near_dups(docs_ds, jaccard_threshold: float = 0.8, **minhash_kw):
     """MinHash-LSH candidates -> exact n-gram Jaccard verification.
 
     Scale-safe verify: candidate pairs are CO-PARTITIONED against the
-    documents table with two distributed hash joins on doc_id (id_a then
-    id_b) — no driver-side iteration over the corpus and no broadcast of
+    documents table with two co-bucketed joins on doc_id (id_a then id_b)
+    — no driver-side iteration over the corpus and no broadcast of
     document text; only candidate-pair rows ever carry two texts at once.
     """
-    import ray.data as rd
+    from gdal_ray.ops.shuffle import cobucket_join
 
-    from gdal_ray.ops.shuffle import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
     cand = text_near_dup_candidates(docs_ds, **minhash_kw)
 
-    docs_a = docs_ds.map_batches(
-        lambda b: pa.table({"_ida": b["doc_id"], "text_a": b["text"]}),
-        batch_format="pyarrow",
-    )
-    docs_b = docs_ds.map_batches(
-        lambda b: pa.table({"_idb": b["doc_id"], "text_b": b["text"]}),
-        batch_format="pyarrow",
-    )
-    j1 = cand.join(docs_a, join_type="inner", num_partitions=num_partitions,
-                   on=("id_a",), right_on=("_ida",))
-    j2 = j1.join(docs_b, join_type="inner", num_partitions=num_partitions,
-                 on=("id_b",), right_on=("_idb",))
+    def docs(idc: str, textc: str):
+        return docs_ds.map_batches(
+            lambda b: b.select(["doc_id", "text"]).rename_columns([idc, textc]),
+            batch_format="pyarrow",
+        )
+
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+    a_schema = pa.schema([("_ida", pa.int64()), ("text_a", pa.string())])
+    b_schema = pa.schema([("_idb", pa.int64()), ("text_b", pa.string())])
+    j1 = cobucket_join(cand, docs("_ida", "text_a"), on=("id_a",), right_on=("_ida",),
+                       left_schema=pair_schema, right_schema=a_schema)
+    j2 = cobucket_join(j1, docs("_idb", "text_b"), on=("id_b",), right_on=("_idb",),
+                       left_schema=pair_schema.append(a_schema.field("text_a")),
+                       right_schema=b_schema)
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         # Exact-equality vectorized verify: per UNIQUE doc in the batch the

@@ -176,7 +176,7 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
     """
     import pandas as pd
 
-    from gdal_ray.ops.shuffle import bucketed_group_apply
+    from gdal_ray.ops.shuffle import bucketed_group_apply, co_union
 
     # The keyed point table is NOT materialized: only the per-cell
     # histogram (<= 4^level rows, tiny) persists, and the point stream
@@ -289,22 +289,17 @@ def knn_shuffle(points_ds, queries_ds, k: int, level: int = CELL_LEVEL, num_buck
 
     reps = queries_ds.map_batches(replicate, batch_format="pyarrow")
 
-    side_p = pts.map_batches(
-        lambda b: b.append_column("side", pa.array(["p"] * len(b), pa.string())),
-        batch_format="pyarrow",
+    both = co_union(
+        pts,
+        reps,
+        pa.schema([("image_id", pa.string()), ("query_id", pa.string()), ("cx", pa.float64()),
+                   ("cy", pa.float64()), ("cell", pa.int64()), ("kq", pa.int64())]),
     )
-    side_q = reps.map_batches(
-        lambda b: b.append_column("side", pa.array(["q"] * len(b), pa.string())),
-        batch_format="pyarrow",
-    )
-    both = side_p.union(side_q)
 
     def partial_topk(part: pd.DataFrame) -> pa.Table:
-        # a partition made only of one side's blocks lacks the other side's
-        # columns: reindex gives them, empty
-        side = part["side"].to_numpy()
-        p = part[side == "p"].reindex(columns=["image_id", "cx", "cy", "cell"])
-        q = part[side == "q"].reindex(columns=["query_id", "cx", "cy", "cell", "kq"])
+        side = part["__side"].to_numpy()
+        p = part[side == 0]
+        q = part[side == 1]
         pcell = p["cell"].to_numpy(dtype=np.int64)
         qcell = q["cell"].to_numpy(dtype=np.int64)
         # pair each replicated query with every point of its cell

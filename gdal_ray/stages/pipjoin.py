@@ -174,17 +174,14 @@ def pip_join_shuffle(points_ds, polygons_ds, level: int = CELL_LEVEL, num_bucket
     """
     import pandas as pd
 
-    from gdal_ray.ops.shuffle import bucketed_group_apply
+    from gdal_ray.ops.shuffle import bucketed_group_apply, co_union
 
     hot = np.fromiter(hot_cells or (), dtype=np.int64)
 
     def key_points(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         cell = np.asarray(batch["cell"], dtype=np.int64)
-        salt = np.where(np.isin(cell, hot), np.arange(n) % num_salts, 0)
-        return (batch.select(["src_id", "cx", "cy", "cell"])
-                .append_column("salt", pa.array(salt, pa.int64()))
-                .append_column("side", pa.array(np.full(n, "p"))))
+        salt = np.where(np.isin(cell, hot), np.arange(len(batch)) % num_salts, 0)
+        return batch.append_column("salt", pa.array(salt, pa.int64()))
 
     def key_covers(batch: pa.Table) -> pa.Table:
         covers = explode_polygon_covers(batch, level).select(["cell", "poly_id", "wkb"])
@@ -194,19 +191,20 @@ def pip_join_shuffle(points_ds, polygons_ds, level: int = CELL_LEVEL, num_bucket
         salt = np.concatenate([np.zeros(n, np.int64),
                                np.tile(np.arange(1, num_salts), len(hot_rows))])
         return (covers.take(pa.array(rows, pa.int64()))
-                .append_column("salt", pa.array(salt, pa.int64()))
-                .append_column("side", pa.array(np.full(len(rows), "g"))))
+                .append_column("salt", pa.array(salt, pa.int64())))
 
-    both = points_ds.map_batches(key_points, batch_format="pyarrow").union(
-        polygons_ds.map_batches(key_covers, batch_format="pyarrow")
+    both = co_union(
+        points_ds.map_batches(key_points, batch_format="pyarrow"),
+        polygons_ds.map_batches(key_covers, batch_format="pyarrow"),
+        pa.schema([("src_id", pa.string()), ("cx", pa.float64()), ("cy", pa.float64()),
+                   ("cell", pa.int64()), ("salt", pa.int64()), ("poly_id", pa.string()),
+                   ("wkb", pa.binary())]),
     )
 
     def join_partition(part: pd.DataFrame) -> pa.Table:
-        # a partition made only of one side's blocks lacks the other side's
-        # columns: reindex gives them, empty
-        side = part["side"].to_numpy()
-        polys = part[side == "g"].reindex(columns=["poly_id", "wkb"]).drop_duplicates("poly_id")
-        points = part[side == "p"].reindex(columns=["src_id", "cx", "cy", "cell"])
+        side = part["__side"].to_numpy()
+        polys = part[side == 1][["poly_id", "wkb"]].drop_duplicates("poly_id")
+        points = part[side == 0][["src_id", "cx", "cy", "cell"]]
         index = build_polygon_cell_index(pa.Table.from_pandas(polys, preserve_index=False), level)
         return PipJoinStage(index)(pa.Table.from_pandas(points, preserve_index=False))
 

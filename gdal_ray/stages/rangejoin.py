@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.ops.shuffle import bucketed_group_apply
+from gdal_ray.ops.shuffle import bucketed_group_apply, co_union
 
 __all__ = ["range_join"]
 
@@ -30,21 +30,12 @@ def range_join(left_ds, right_ds, value_col: str, lo_col: str, hi_col: str,
     per (left, right) pair with lo <= value <= hi (inclusive ends)."""
     lnames = [f.name for f in left_schema]
     rnames = [f.name for f in right_schema]
-    combined = pa.schema(
-        list(left_schema) + list(right_schema)
-        + [pa.field("__bin", pa.int64()), pa.field("__side", pa.int8())])
 
-    def tag_left(t: pa.Table) -> pa.Table:
+    def bin_left(t: pa.Table) -> pa.Table:
         v = np.asarray(t[value_col], dtype=np.float64)
-        b = np.floor(v / bin_width).astype(np.int64)
-        arrays = {f.name: (t[f.name] if f.name in lnames
-                           else pa.nulls(len(t), f.type))
-                  for f in combined if f.name not in ("__bin", "__side")}
-        arrays["__bin"] = pa.array(b)
-        arrays["__side"] = pa.array(np.zeros(len(t), np.int8))
-        return pa.table(arrays)
+        return t.append_column("__bin", pa.array(np.floor(v / bin_width).astype(np.int64)))
 
-    def tag_right(t: pa.Table) -> pa.Table:
+    def bin_right(t: pa.Table) -> pa.Table:
         lo = np.asarray(t[lo_col], dtype=np.float64)
         hi = np.asarray(t[hi_col], dtype=np.float64)
         b0 = np.floor(lo / bin_width).astype(np.int64)
@@ -54,20 +45,12 @@ def range_join(left_ds, right_ds, value_col: str, lo_col: str, hi_col: str,
         bins = np.concatenate([np.arange(a, c + 1)
                                for a, c in zip(b0, b1)]) if len(t) else \
             np.empty(0, np.int64)
-        arrays = {}
-        for f in combined:
-            if f.name == "__bin":
-                arrays[f.name] = pa.array(bins)
-            elif f.name == "__side":
-                arrays[f.name] = pa.array(np.ones(len(idx), np.int8))
-            elif f.name in rnames:
-                arrays[f.name] = t[f.name].take(pa.array(idx))
-            else:
-                arrays[f.name] = pa.nulls(len(idx), f.type)
-        return pa.table(arrays)
+        return t.take(pa.array(idx)).append_column("__bin", pa.array(bins, pa.int64()))
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow"))
+    both = co_union(
+        left_ds.map_batches(bin_left, batch_format="pyarrow"),
+        right_ds.map_batches(bin_right, batch_format="pyarrow"),
+        pa.schema(list(left_schema) + list(right_schema) + [pa.field("__bin", pa.int64())]))
 
     def join_part(part: pd.DataFrame) -> pd.DataFrame:
         out = []

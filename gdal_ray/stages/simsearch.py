@@ -351,7 +351,7 @@ def hyperplane_bands(ds, n_bits: int = 64, band_bits: int = 4, seed: int = 7,
 
 
 def embedding_near_dup_lsh(ds, threshold: float, n_bits: int = 64, band_bits: int = 4,
-                           seed: int = 7, num_partitions: int | None = None):
+                           seed: int = 7):
     """Scale path of the embedding near-dup join: hyperplane-LSH candidate
     generation (banded, bucketed — no all-pairs) followed by an EXACT
     cosine verify through co-partitioned joins on vec_id (no driver-side
@@ -361,10 +361,8 @@ def embedding_near_dup_lsh(ds, threshold: float, n_bits: int = 64, band_bits: in
     """
     import pandas as pd
 
-    from gdal_ray.ops.shuffle import adaptive_partitions, bucketed_group_apply
+    from gdal_ray.ops.shuffle import bucketed_group_apply, cobucket_join
 
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
     bands = hyperplane_bands(ds, n_bits, band_bits, seed)
 
     def pairs(part: pd.DataFrame) -> pd.DataFrame:
@@ -394,25 +392,25 @@ def embedding_near_dup_lsh(ds, threshold: float, n_bits: int = 64, band_bits: in
 
     # Acero hash join rejects list<> payload columns -> ship embeddings as
     # fixed-width binary through the join, decode in the verify kernel
-    def pack(b: pa.Table, idc: str, embc: str) -> pa.Table:
-        m = _matrix(b, "embedding", np.float64)
-        return pa.table(
-            {
-                idc: b["vec_id"],
-                embc: pa.array([m[i].tobytes() for i in range(len(m))], pa.binary()),
-            }
-        )
+    def pack(idc: str, embc: str):
+        def fn(b: pa.Table) -> pa.Table:
+            m = _matrix(b, "embedding", np.float64)
+            return pa.table(
+                {
+                    idc: b["vec_id"],
+                    embc: pa.array([m[i].tobytes() for i in range(len(m))], pa.binary()),
+                }
+            )
 
-    emb_a = ds.map_batches(
-        lambda b: pack(b, "_ida", "emb_a"), batch_format="pyarrow"
-    )
-    emb_b = ds.map_batches(
-        lambda b: pack(b, "_idb", "emb_b"), batch_format="pyarrow"
-    )
-    j1 = cand.join(emb_a, join_type="inner", num_partitions=num_partitions,
-                   on=("id_a",), right_on=("_ida",))
-    j2 = j1.join(emb_b, join_type="inner", num_partitions=num_partitions,
-                 on=("id_b",), right_on=("_idb",))
+        return ds.map_batches(fn, batch_format="pyarrow")
+
+    a_schema = pa.schema([("_ida", pa.int64()), ("emb_a", pa.binary())])
+    b_schema = pa.schema([("_idb", pa.int64()), ("emb_b", pa.binary())])
+    j1 = cobucket_join(cand, pack("_ida", "emb_a"), on=("id_a",), right_on=("_ida",),
+                       left_schema=pair_schema, right_schema=a_schema)
+    j2 = cobucket_join(j1, pack("_idb", "emb_b"), on=("id_b",), right_on=("_idb",),
+                       left_schema=pair_schema.append(a_schema.field("emb_a")),
+                       right_schema=b_schema)
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):

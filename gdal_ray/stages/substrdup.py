@@ -14,9 +14,8 @@ cluster, so this module re-expresses it Ray-Data-first:
    distinct documents survive (rolling-hash collisions may sneak
    through — removed in 3);
 3. the text fetch is ONE bucketed co-shuffle on ``doc_id`` over
-   candidates ∪ documents (the same asymptotic cost as the hash join it
-   replaces, but immune to Ray 2.49's empty-block join fragility —
-   ops/shuffle.py:62); each candidate row re-extracts its window text at
+   candidates ∪ documents (the same asymptotic cost as a join); each
+   candidate row re-extracts its window text at
    ``pos`` and a grouped aggregate on the EXACT text yields
    ``(win, n_docs, n_occ)`` — collision-free by construction.
 

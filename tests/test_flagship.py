@@ -145,6 +145,18 @@ def test_task_bounds_pack_consecutive_units():
         assert all(sum(sizes[a:b]) <= share + max(sizes[a:b]) for a, b in bounds)
 
 
+def test_fused_source_rejects_non_cosharded_corpus(tmp_path):
+    """Images and placements must be like-named part files: any other
+    layout is an input error, not a slower plan."""
+    from gdal_ray.pipelines import flagship as F
+
+    for table, part in (("images", "part-00000"), ("placements", "other-00000")):
+        (tmp_path / f"{table}.parquet").mkdir()
+        pq.write_table(pa.table({"image_id": ["a"]}), tmp_path / f"{table}.parquet" / part)
+    with pytest.raises(ValueError, match="like-named part files"):
+        F.placed_images(str(tmp_path), decode=False)
+
+
 def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
     """At 2 Ray CPUs the metadata-only source packs the corpus' 4 row
     groups into 2 read tasks, the payload source keeps one task per row

@@ -339,3 +339,29 @@ def test_embedding_near_dup_lsh_recall_and_precision(ray_session):
     assert got <= want  # exact verify: no false positives
     assert len(want) >= 30
     assert len(got & want) / len(want) >= 0.8, (len(got), len(want))
+
+
+def test_knn_shuffle_query_only_partition(ray_session):
+    """A shuffle partition holding replicated query rows but no point rows
+    (three points in one cell, far queries whose rings span many cells,
+    64 buckets over 9 sort ranges) still gives each query its exact
+    nearest points."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from gdal_ray.stages.knn import knn_shuffle
+
+    px = np.array([1000.0, 1500.0, 2500.0])
+    py = np.array([1000.0, -500.0, 800.0])
+    pid = np.array(["p0", "p1", "p2"])
+    qx = np.arange(8) * 900_000.0 - 3_000_000.0
+    qy = np.arange(8)[::-1] * 700_000.0 - 2_000_000.0
+    qid = np.array([f"q{i}" for i in range(8)])
+    points = rd.from_arrow(pa.table({"image_id": pid, "cx": px, "cy": py}))
+    queries = rd.from_arrow(pa.table({"query_id": qid, "cx": qx, "cy": qy})).repartition(8)
+    got = knn_shuffle(points, queries, k=2, num_buckets=64).to_pandas()
+    want = set()
+    for i in range(8):
+        d2 = (px - qx[i]) ** 2 + (py - qy[i]) ** 2
+        want |= {(qid[i], r, pid[j]) for r, j in enumerate(np.argsort(d2)[:2])}
+    assert set(zip(got["query_id"], got["rank"], got["image_id"])) == want

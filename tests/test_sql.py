@@ -772,3 +772,29 @@ def test_two_level_correlation(con, ray_session):
             "  WHERE c.c_nationkey = nation.n_nationkey))")
     with pytest.raises(SQLError, match="IMMEDIATELY enclosing"):
         execute_sql(deep, SF).to_pandas()
+
+
+def test_join_segment_revenue_at_one_cpu():
+    """At 1 Ray CPU the co-bucketed join finishes (Ray's hash join never
+    did: its aggregator actors each hold a CPU) and q_join_segment_revenue
+    matches its DuckDB twin at sf0.01, dtype-strict, within 40 s of engine
+    time. Runs the gate script in a subprocess with its own Ray."""
+    import os
+    import re
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "check_oracle.py"),
+         os.path.join(os.path.dirname(SF), "sf0.01"), "q_join_segment_revenue",
+         "--cpus", "1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = re.search(r"^q_join_segment_revenue\s+([\d.]+)s\s+(.*)$", proc.stdout, re.M)
+    assert line, proc.stdout[-2000:]
+    assert line.group(2) == "OK"
+    assert float(line.group(1)) < 40.0
