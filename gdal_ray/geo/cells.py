@@ -18,7 +18,7 @@ import numpy as np
 
 from gdal_ray.geo import mercator
 
-__all__ = ["cell_id", "cell_to_xyz", "cell_of_meters", "cell_of_latlon", "k_ring", "bbox_cover"]
+__all__ = ["cell_id", "cell_to_xyz", "cell_of_meters", "k_ring", "bbox_cover"]
 
 _Y_BITS = 29
 _X_SHIFT = 29
@@ -49,11 +49,6 @@ def cell_of_meters(mx, my, level):
     ty = np.clip(ty, 0, n - 1)
     y_xyz = mercator.tms_to_xyz(ty, level)
     return cell_id(level, tx, y_xyz)
-
-
-def cell_of_latlon(lat, lon, level):
-    mx, my = mercator.latlon_to_meters(lat, lon)
-    return cell_of_meters(mx, my, level)
 
 
 def k_ring(cell, k=1):

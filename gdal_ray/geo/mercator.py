@@ -32,14 +32,12 @@ __all__ = [
     "meters_to_tile",
     "tile_bounds",
     "tms_to_xyz",
-    "zoom_for_pixel_size",
 ]
 
 EARTH_RADIUS = 6378137.0
 TILE_SIZE = 256
 INITIAL_RESOLUTION = 2 * np.pi * EARTH_RADIUS / TILE_SIZE  # 156543.03392804062
 ORIGIN_SHIFT = 2 * np.pi * EARTH_RADIUS / 2.0  # 20037508.342789244
-MAX_ZOOM = 32
 
 
 def latlon_to_meters(lat, lon):
@@ -110,11 +108,3 @@ def tms_to_xyz(ty, zoom):
     involution, so the same function converts XYZ -> TMS.
     """
     return (np.int64(1) << np.asarray(zoom, dtype=np.int64)) - 1 - np.asarray(ty, dtype=np.int64)
-
-
-def zoom_for_pixel_size(pixel_size):
-    """Max zoom not finer than pixel_size (gdal2tiles.py:503-509)."""
-    for i in range(MAX_ZOOM):
-        if pixel_size > resolution(i):
-            return max(0, i - 1)
-    return MAX_ZOOM - 1

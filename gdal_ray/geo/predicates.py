@@ -1,8 +1,9 @@
 """Areal geometry predicates (OGC named predicates for simple polygons).
 
 The reference gets Equals/Within/Contains/Touches/Overlaps/Disjoint from
-GEOS (``ogr/ogr_geometry.h:540-560``). Here they derive from two exact
-primitives this engine already has:
+GEOS (``ogr/ogr_geometry.h:540-560``). Here ``relate_areal`` names the one
+that holds for a pair of rings, from two exact primitives this engine
+already has:
 
 - ``polygons_intersect`` (boundary crossing + hole-aware containment) for
   the zero-area contact ("touches") test;
@@ -20,16 +21,7 @@ import numpy as np
 from gdal_ray.geo.booleanops import pieces_area, polygon_intersection
 from gdal_ray.geo.geomops import polygons_intersect, ring_area
 
-__all__ = [
-    "relate_areal",
-    "contains",
-    "within",
-    "touches",
-    "overlaps",
-    "disjoint",
-    "intersects",
-    "equals",
-]
+__all__ = ["relate_areal"]
 
 _REL_TOL = 1e-9
 
@@ -53,31 +45,3 @@ def relate_areal(ring_a: np.ndarray, ring_b: np.ndarray) -> str:
     if polygons_intersect([[ring_a]], [[ring_b]]):
         return "touches"
     return "disjoint"
-
-
-def contains(a, b):
-    return relate_areal(a, b) in ("contains", "equals")
-
-
-def within(a, b):
-    return relate_areal(a, b) in ("within", "equals")
-
-
-def touches(a, b):
-    return relate_areal(a, b) == "touches"
-
-
-def overlaps(a, b):
-    return relate_areal(a, b) == "overlaps"
-
-
-def disjoint(a, b):
-    return relate_areal(a, b) == "disjoint"
-
-
-def intersects(a, b):
-    return relate_areal(a, b) != "disjoint"
-
-
-def equals(a, b):
-    return relate_areal(a, b) == "equals"

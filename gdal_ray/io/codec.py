@@ -157,19 +157,21 @@ def decode_png(buf: bytes) -> np.ndarray:
             elif f == 2:  # Up
                 line += prev
             else:
-                # Sub/Average/Paeth need the sequential left neighbor
-                for x in range(w * bpp):
-                    a = line[x - bpp] if x >= bpp else np.uint8(0)
-                    b = prev[x]
-                    if f == 1:
-                        line[x] = line[x] + a
-                    elif f == 3:
-                        line[x] = line[x] + np.uint8((int(a) + int(b)) // 2)
-                    elif f == 4:
-                        cc = prev[x - bpp] if x >= bpp else np.uint8(0)
-                        line[x] = line[x] + _paeth(
-                            np.asarray(a), np.asarray(b), np.asarray(cc)
-                        )
+                # Sub/Average/Paeth need the sequential left neighbor; the
+                # filter sums wrap mod 256 by design (uint8 scalars warn)
+                with np.errstate(over="ignore"):
+                    for x in range(w * bpp):
+                        a = line[x - bpp] if x >= bpp else np.uint8(0)
+                        b = prev[x]
+                        if f == 1:
+                            line[x] = line[x] + a
+                        elif f == 3:
+                            line[x] = line[x] + np.uint8((int(a) + int(b)) // 2)
+                        elif f == 4:
+                            cc = prev[x - bpp] if x >= bpp else np.uint8(0)
+                            line[x] = line[x] + _paeth(
+                                np.asarray(a), np.asarray(b), np.asarray(cc)
+                            )
             prev = line
     if paletted:
         idx = data.reshape(h, w)

@@ -1,5 +1,4 @@
-"""Shuffle helpers: bucketed group-apply, the co-bucketed equi-join and
-hot-key salting.
+"""Shuffle helpers: bucketed group-apply and the co-bucketed equi-join.
 
 ``Dataset.groupby(...).map_groups(fn)`` invokes ``fn`` once per GROUP — fine
 for thousands of rows per group, pathological for millions of tiny groups
@@ -12,11 +11,6 @@ inside the partition).
 ``cobucket_join`` is the engine's one equi-join: both sides, tagged into one
 schema (``co_union``), sort on one hash bucket of their keys, and each sorted
 block joins its whole buckets with one ``pa.Table.join``. No actors hold CPUs.
-
-Salting (``salt_hot_keys``) splits keys whose row count exceeds a cap into
-``key#i`` sub-keys before a keyed shuffle — the skew treatment SURVEY.md §4
-calls out for dense urban cells; callers re-merge sub-key results with a
-second (tiny) aggregate.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["bucketed_group_apply", "cobucket_join", "co_union", "salt_hot_keys"]
+__all__ = ["bucketed_group_apply", "cobucket_join", "co_union"]
 
 _HASH_SEED = np.uint64(0x9E3779B97F4A7C15)
 
@@ -202,30 +196,3 @@ def cobucket_join(left, right, on, right_on=None, how: str = "inner", *,
         combined,
     )
     return _per_sorted_block(both, join_block, "pyarrow")
-
-
-def salt_hot_keys(ds, key: str, cap: int, num_salts: int = 16, counts: dict | None = None):
-    """Split keys whose row count exceeds ``cap`` into ``num_salts`` sub-keys.
-
-    ``counts``: optional precomputed {key: n} (e.g. from a cheap first-pass
-    aggregate or the partition manifest's cell histogram); if None it is
-    computed with a count aggregate (one extra pass).
-    Adds a ``__salted`` string column = f"{key}#{i}" for hot keys, str(key)
-    otherwise.
-    """
-    if counts is None:
-        cdf = ds.groupby(key).count().to_pandas()
-        counts = dict(zip(cdf[key], cdf["count()"]))
-    hot = {k for k, n in counts.items() if n > cap}
-    hot_ref = hot  # captured; small
-
-    def add(batch: pa.Table) -> pa.Table:
-        kv = batch[key].to_pylist()
-        # round-robin within the batch: even spread, no cross-process state
-        out = [
-            f"{v}#{i % num_salts}" if v in hot_ref else str(v)
-            for i, v in enumerate(kv)
-        ]
-        return batch.append_column("__salted", pa.array(out, pa.string()))
-
-    return ds.map_batches(add, batch_format="pyarrow"), hot

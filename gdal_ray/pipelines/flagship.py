@@ -1,17 +1,22 @@
 """Flagship end-to-end pipeline: decode + cell encode + PIP join + tile assign.
 
 This is the BASELINE.json headline metric pipeline (images/sec end-to-end)
-re-expressed Ray-Data-first. Every image source here is ONE fused source,
-``fused_image_apply(corpus, kernel)``: each read task reads a run of
-consecutive images row groups, appends to each the placement columns from
-its like-named placements shard (``_take_placements``, worker-cached) and
-runs ``kernel`` on it, so the raw image payload never enters the object
-store. Tasks are sized by the bytes they read (``_task_bounds``): a payload
-read runs one task per row group, a metadata-only read no more tasks than
-its bytes justify but one per Ray CPU where it has the row groups. The
-broadcast indexes (polygon cells, kNN centroids) are put once per Ray
-session and corpus (``_broadcast_ref``).
-``placed_images`` is that source with the decode-stats + geo kernel
+re-expressed Ray-Data-first. The images and query_points tables are read
+through ONE fused source, ``fused_table_apply(path, kernel)``: each read
+task reads a run of consecutive row groups and runs ``kernel`` on each, so
+a query runs ``FromItems -> one fused map`` and only kernel output enters
+the object store. ``fused_image_apply(corpus, kernel)`` is that source over
+the images, each row group first given the placement columns of its
+like-named placements shard (``_take_placements``, worker-cached), so the
+raw image payload never leaves the task. ``_query_points(corpus, columns,
+kernel)`` is it over query_points: the projection to EPSG:3857 and the
+broadcast PIP or kNN kernel run in the read task. Tasks are sized by the
+bytes they read (``_task_bounds``): a payload read runs one task per row
+group, a metadata-only read no more tasks than its bytes justify but one
+per Ray CPU where it has the row groups. The broadcast indexes (polygon
+cells, kNN centroids) are put once per Ray session and corpus
+(``_broadcast_ref``).
+``placed_images`` is ``fused_image_apply`` with the decode-stats + geo kernel
 (``decode=True``) or the geo kernel alone over (image_id, w, h).
 ``decoded_places`` is the headline's source: its kernel decodes every
 payload (the decode is part of the measured job and fails it on a corrupt
@@ -39,7 +44,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from gdal_ray.config import CELL_LEVEL, IMAGE_BATCH, META_BATCH, TILE_ZOOMS
+from gdal_ray.config import CELL_LEVEL, IMAGE_BATCH, TILE_ZOOMS
 from gdal_ray.ops.runtime import cluster_cpus, memo
 from gdal_ray.sources import corpus as SRC
 from gdal_ray.stages import geo as G
@@ -65,19 +70,15 @@ def decoded_meta(corpus_dir: str) -> rd.Dataset:
     return images.map_batches(decode_stats, batch_format="pyarrow", batch_size=IMAGE_BATCH)
 
 
-def _copart_shards(corpus_dir: str):
-    """Aligned (images, placements) shard pairs, or None if not co-sharded."""
+def _cosharded(corpus_dir: str) -> bool:
+    """True when images and placements are like-named part files."""
     import os
 
     ip = os.path.join(corpus_dir, "images.parquet")
     pp = os.path.join(corpus_dir, "placements.parquet")
     if not (os.path.isdir(ip) and os.path.isdir(pp)):
-        return None
-    a = sorted(os.listdir(ip))
-    b = sorted(os.listdir(pp))
-    if a != b:
-        return None
-    return [(os.path.join(ip, f), os.path.join(pp, f)) for f in a]
+        return False
+    return sorted(os.listdir(ip)) == sorted(os.listdir(pp))
 
 
 # per-worker cache of placements shards (path -> table + {image_id: row_idx})
@@ -122,21 +123,24 @@ def _merge_placements(batch: pa.Table, plc_dir: str) -> pa.Table:
     return pa.concat_tables(parts, promote_options="default")
 
 
-def _shard_units(corpus_dir: str, columns: list | None = None):
-    """(img shard, plc shard, row_group, read_bytes) work units from the
-    co-sharded layout, one per row group, in shard order. ``read_bytes`` is
-    the uncompressed size of the row group's ``columns`` (all columns when
-    None), from the footer. Driver cost is a metadata scan of the SHARD
-    LIST (bounded by shard count, not row count — at 100 TB this comes from
-    the table manifest the same way)."""
-    pairs = _copart_shards(corpus_dir)
-    if pairs is None:
-        return None
+def _table_units(path: str, columns: list | None = None) -> list:
+    """(path, rg, num_rows, read_bytes) work units of the parquet file
+    ``path`` or of the part files of the directory ``path``, one per row
+    group, in file order. ``num_rows`` and ``read_bytes`` (the uncompressed
+    size of the row group's ``columns``, all columns when None) come from
+    the footers. Driver cost is a metadata scan of the part list (bounded by
+    the part count, not the row count — at 100 TB this comes from the table
+    manifest the same way)."""
+    import os
+
     import pyarrow.parquet as pq
 
+    parts = [path]
+    if os.path.isdir(path):
+        parts = [os.path.join(path, f) for f in sorted(os.listdir(path))]
     units = []
-    for imgp, plcp in pairs:
-        md = pq.ParquetFile(imgp).metadata
+    for part in parts:
+        md = pq.ParquetFile(part).metadata
         for rg in range(md.num_row_groups):
             g = md.row_group(rg)
             read_bytes = sum(
@@ -144,7 +148,7 @@ def _shard_units(corpus_dir: str, columns: list | None = None):
                 for i in range(g.num_columns)
                 if columns is None or g.column(i).path_in_schema.split(".")[0] in columns
             )
-            units.append({"img_path": imgp, "plc_path": plcp, "rg": rg, "read_bytes": read_bytes})
+            units.append({"path": part, "rg": rg, "num_rows": g.num_rows, "read_bytes": read_bytes})
     return units
 
 
@@ -184,38 +188,25 @@ def _session_key() -> tuple:
         return ("nosession",)
 
 
-def fused_image_apply(
-    corpus_dir: str,
-    kernel,
-    *,
-    columns: list | None = None,
-    with_placements: bool = True,
-) -> rd.Dataset:
-    """Run ``kernel(table) -> table`` INSIDE the read tasks, once per images
-    row group (merged with its like-named placements shard when
-    ``with_placements``). The raw image payload never enters the object
-    store — only the kernel's (small) output rows do. ``placed_images``
-    and the per-image raster queries (warp, global stats, histogram, …)
-    all read the corpus through it.
+def fused_table_apply(path: str, kernel, *, columns: list | None = None, merge=None) -> rd.Dataset:
+    """Run ``kernel(table) -> table`` INSIDE the read tasks, once per row
+    group of the parquet file or part-file directory ``path``: the one
+    fused source. Only the kernel's output rows enter the object store, and
+    the plan is ``FromItems -> one fused map`` (no ``ReadParquet``, so no
+    ``SplitBlocks`` fusion barrier and no sampling task at build time).
 
     Each task reads a contiguous run of row groups (``_task_bounds`` over
     the bytes of ``columns`` each one holds, against Ray's
-    ``target_min_block_size``) and emits its rows in corpus order, so the
-    output is the same whatever the task count.
+    ``target_min_block_size``) and emits its rows in file order, so the
+    output is the same whatever the task count. Each row group is read
+    without pyarrow threads and with its schema metadata stripped (as
+    ``read_parquet_tight`` does); ``merge(table, part_path) -> table``, when
+    given, runs on it before ``kernel``.
 
     ``kernel`` must return a correctly-TYPED table for empty input (it is
     called even when a filter inside leaves zero rows, so every block
-    carries the output schema). The corpus must be co-sharded (like-named
-    images/placements part files); any other layout is a ValueError.
-    """
-    cols = columns
-    if with_placements and cols is not None and "image_id" not in cols:
-        cols = ["image_id"] + list(cols)
-    units = _shard_units(corpus_dir, cols)
-    if units is None:
-        raise ValueError(f"{corpus_dir}: images.parquet and placements.parquet must be "
-                         "directories of like-named part files (the co-sharded layout)")
-
+    carries the output schema)."""
+    units = _table_units(path, columns)
     bounds = _task_bounds(
         [u["read_bytes"] for u in units],
         cluster_cpus(),
@@ -235,15 +226,49 @@ def fused_image_apply(
                 # use_threads=False: each task owns ONE CPU slot; pyarrow's
                 # internal thread pool would oversubscribe against the other
                 # concurrent tasks on the box
-                t = pq.ParquetFile(u["img_path"]).read_row_group(
-                    u["rg"], columns=cols, use_threads=False
-                )
-                if with_placements:
-                    t = _take_placements(t, u["plc_path"])
+                t = pq.ParquetFile(u["path"]).read_row_group(
+                    u["rg"], columns=columns, use_threads=False
+                ).replace_schema_metadata(None)
+                if merge is not None:
+                    t = merge(t, u["path"])
                 outs.append(kernel(t))
         return pa.concat_tables(outs, promote_options="default")
 
     return ds.map_batches(load, batch_format="pyarrow", batch_size=None)
+
+
+def fused_image_apply(
+    corpus_dir: str,
+    kernel,
+    *,
+    columns: list | None = None,
+    with_placements: bool = True,
+) -> rd.Dataset:
+    """``fused_table_apply`` over the images table, each row group merged
+    with its like-named placements shard when ``with_placements``. The raw
+    image payload never enters the object store. ``placed_images`` and the
+    per-image raster queries (warp, global stats, histogram, …) all read
+    the corpus through it. The corpus must be co-sharded (like-named
+    images/placements part files); any other layout is a ValueError.
+    """
+    import os
+
+    cols = columns
+    if with_placements and cols is not None and "image_id" not in cols:
+        cols = ["image_id"] + list(cols)
+    if not _cosharded(corpus_dir):
+        raise ValueError(f"{corpus_dir}: images.parquet and placements.parquet must be "
+                         "directories of like-named part files (the co-sharded layout)")
+    merge = None
+    if with_placements:
+        plc_dir = os.path.join(corpus_dir, "placements.parquet")
+
+        def merge(t: pa.Table, part: str) -> pa.Table:
+            return _take_placements(t, os.path.join(plc_dir, os.path.basename(part)))
+
+    return fused_table_apply(
+        os.path.join(corpus_dir, "images.parquet"), kernel, columns=cols, merge=merge
+    )
 
 
 def _add_geo(t: pa.Table) -> pa.Table:
@@ -339,41 +364,31 @@ def _project_queries(batch: pa.Table) -> pa.Table:
     )
 
 
-def _query_points(corpus_dir: str, columns: list) -> rd.Dataset:
+def _query_points(corpus_dir: str, columns: list, kernel=None) -> rd.Dataset:
     """query_points ``columns`` plus the point in EPSG:3857 meters
-    (cx, cy): the query side of the PIP, kNN and point-sample joins."""
-    return SRC.read_query_points(corpus_dir, columns=columns + ["lon", "lat"]).map_batches(
-        _project_queries, batch_format="pyarrow", batch_size=META_BATCH
+    (cx, cy): the query side of the PIP, kNN and point-sample joins. One
+    fused source; ``kernel``, when given, runs on the projected rows inside
+    the read task."""
+    import os
+
+    def project(t: pa.Table) -> pa.Table:
+        t = _project_queries(t)
+        return t if kernel is None else kernel(t)
+
+    return fused_table_apply(
+        os.path.join(corpus_dir, "query_points.parquet"), project, columns=columns + ["lon", "lat"]
     )
 
 
 def pip_join_query_points(corpus_dir: str) -> rd.Dataset:
     """query_points vs polygon layer (same broadcast join, no decode)."""
     index_ref = _polygon_index_ref(corpus_dir)
-    pts = (
-        _query_points(corpus_dir, ["query_id"])
-        .rename_columns({"query_id": "src_id"})
-        .map_batches(G.add_cell, batch_format="pyarrow", batch_size=None)
-    )
-    return pts.map_batches(
-        pip_join_batch,
-        fn_kwargs={"index_ref": index_ref},
-        batch_format="pyarrow",
-        batch_size=None,
-    )
 
+    def join(t: pa.Table) -> pa.Table:
+        pts = t.rename_columns(["src_id" if c == "query_id" else c for c in t.column_names])
+        return pip_join_batch(G.add_cell(pts), index_ref)
 
-def _corpus_num_images(corpus_dir: str) -> int:
-    """Image row count from parquet footer metadata only (no data read)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    p = os.path.join(corpus_dir, "images.parquet")
-    if os.path.isdir(p):
-        return sum(pq.ParquetFile(os.path.join(p, f)).metadata.num_rows
-                   for f in os.listdir(p))
-    return pq.ParquetFile(p).metadata.num_rows
+    return _query_points(corpus_dir, ["query_id"], join)
 
 
 def knn_images(corpus_dir: str) -> rd.Dataset:
@@ -385,11 +400,14 @@ def knn_images(corpus_dir: str) -> rd.Dataset:
     ``knn_images_shuffle`` automatically (same output through the
     co-partitioned plan) — the driver-side centroid read is a deliberate
     small-side-only step, never applied to a corpus-scale table."""
+    import os
+
     import pyarrow.parquet as pq
 
     from gdal_ray.config import KNN_BROADCAST_MAX
 
-    if _corpus_num_images(corpus_dir) > KNN_BROADCAST_MAX:
+    units = _table_units(os.path.join(corpus_dir, "images.parquet"))
+    if sum(u["num_rows"] for u in units) > KNN_BROADCAST_MAX:
         return knn_images_shuffle(corpus_dir)
 
     def build():
@@ -403,12 +421,7 @@ def knn_images(corpus_dir: str) -> rd.Dataset:
         )
 
     index_ref = _broadcast_ref("knn_centroids", corpus_dir, build)
-    return _query_points(corpus_dir, ["query_id", "k"]).map_batches(
-        knn_batch,
-        fn_kwargs={"index_ref": index_ref},
-        batch_format="pyarrow",
-        batch_size=1024,
-    )
+    return _query_points(corpus_dir, ["query_id", "k"], lambda t: knn_batch(t, index_ref))
 
 
 def knn_images_shuffle(corpus_dir: str) -> rd.Dataset:

@@ -89,16 +89,6 @@ GRID_SQL = """
     WHERE r < 12 + s_suppkey % 5 AND c < 16 + s_suppkey % 7
 """
 
-_CKSUM_PRIMES = "[7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]"
-
-
-def cksum_sql(v_expr: str, i_expr: str) -> str:
-    """GDALChecksumImage twin for non-negative integer pixels."""
-    return (
-        f"CAST(SUM(({v_expr}) % list_extract({_CKSUM_PRIMES}, "
-        f"(({i_expr}) % 11) + 1)) % 65536 AS INTEGER)"
-    )
-
 
 # --------------------------------------------------------------------------
 # Global band statistics (two-phase distributed aggregate, int partials)

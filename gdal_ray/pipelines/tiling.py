@@ -40,7 +40,7 @@ from gdal_ray.geo import mercator as M
 from gdal_ray.io import codec as C
 from gdal_ray.state.manifest import Manifest, fragment_lineage
 
-__all__ = ["render_partial_tiles", "compose_tiles", "build_overview", "tile_pyramid", "export_tile_tree"]
+__all__ = ["render_partial_tiles", "compose_tiles", "tile_pyramid", "export_tile_tree"]
 
 GROUP = 16  # tile-group edge (in tiles) = resume partition granularity
 
@@ -193,22 +193,6 @@ def _downsample_group(part: pd.DataFrame) -> pd.DataFrame:
         rows["png"].append(C.encode_png(small))
         rows["n_sources"].append(len(g))
     return pd.DataFrame(rows)
-
-
-def build_overview(tiles_ds):
-    """One zoom step: tiles at z -> composed tiles at z-1."""
-    from gdal_ray.ops.shuffle import bucketed_group_apply
-
-    def parent_cols(batch: pa.Table) -> pa.Table:
-        z = np.asarray(batch["z"])
-        return (
-            batch.append_column("pz", pa.array((z - 1).astype(np.int32)))
-            .append_column("px", pa.array(np.asarray(batch["x"]) // 2))
-            .append_column("py", pa.array(np.asarray(batch["y"]) // 2))
-        )
-
-    withp = tiles_ds.map_batches(parent_cols, batch_format="pyarrow")
-    return bucketed_group_apply(withp, ["pz", "px", "py"], _downsample_group, 32, schema=TILE_SCHEMA)
 
 
 def tile_pyramid(corpus_dir: str, out_dir: str, z_base: int = 6, z_min: int = 4):

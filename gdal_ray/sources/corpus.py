@@ -15,7 +15,6 @@ import ray.data as rd
 __all__ = [
     "read_images",
     "read_polygons",
-    "read_query_points",
     "read_rasters",
     "read_table",
     "read_parquet_tight",
@@ -43,7 +42,17 @@ def read_parquet_tight(path: str, columns=None, **kw) -> rd.Dataset:
     them — but a cap BELOW the CPU count would serialize every fused
     downstream stage (measured: a 100-row single-row-group rasters table
     went 3.8 s -> 17 s), so small tables keep Ray's default split and the
-    cosmetic warnings."""
+    cosmetic warnings.
+
+    Fusion barrier: Ray meets that split by adding ``SplitBlocks(n)`` to
+    the read, and never fuses a downstream map into an operator whose
+    split factor is above 1 (``ray/data/_internal/logical/rules/
+    operator_fusion.py:168`` in Ray 2.49). So a small table read here runs
+    two task rounds, the read task and then one map task per split block,
+    and building the Dataset runs a remote fragment-sampling task. The
+    images and query_points tables avoid both through the fused source
+    (``pipelines/flagship.fused_table_apply``); polygons, rasters and the
+    single-row-group TPC-H tables still read here."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -113,10 +122,6 @@ def _split_gt(batch):
 
 def read_polygons(corpus_dir: str, columns=None, **kw) -> rd.Dataset:
     return read_table(corpus_dir, "polygons", columns=columns, **kw)
-
-
-def read_query_points(corpus_dir: str, columns=None, **kw) -> rd.Dataset:
-    return read_table(corpus_dir, "query_points", columns=columns, **kw)
 
 
 def read_rasters(corpus_dir: str, columns=None, **kw) -> rd.Dataset:

@@ -97,7 +97,7 @@ def phash_bands(batch: pa.Table, phash_col: str = "phash") -> pa.Table:
 # allocates O(n^2) index arrays in a single task. Groups above the cap are
 # expanded TILE-BY-TILE (chunk x chunk cross products <= _GROUP_CAP^2 pairs
 # per allocation) — identical pair output, bounded peak memory. This is the
-# pair-expansion analog of salt_hot_keys' treatment of hot PIP cells.
+# pair-expansion analog of pip_join_shuffle's salting of hot PIP cells.
 _GROUP_CAP = 2048
 
 

@@ -14,9 +14,8 @@ import pyarrow as pa
 from gdal_ray.raster.polygonize import polygonize_array
 from gdal_ray.raster.rasterize import rasterize_polygon_px
 from gdal_ray.raster.checksum import checksum_image
-from gdal_ray.geo import wkb as W
 
-__all__ = ["polygonize_batch", "roundtrip_batch"]
+__all__ = ["roundtrip_batch"]
 
 
 def _rows(batch: pa.Table):
@@ -28,31 +27,6 @@ def _rows(batch: pa.Table):
         col = col.combine_chunks()
     gts = np.asarray(col.flatten(), dtype=np.float64).reshape(-1, 6)
     return pix, ws, hs, gts
-
-
-def polygonize_batch(batch: pa.Table, nodata=-1, connect8=False) -> pa.Table:
-    """rasters -> one row per polygon (raster_id, value, wkb, pixel_count).
-
-    Geometry is emitted as WKB in geo coordinates (the raster's gt applied),
-    i.e. the same output contract as GDALPolygonize into an OGR layer.
-    """
-    pix, ws, hs, gts = _rows(batch)
-    rid, val, wkbs, cnt = [], [], [], []
-    for i in range(len(pix)):
-        arr = np.asarray(pix[i], dtype=np.int32).reshape(hs[i], ws[i])
-        for poly in polygonize_array(arr, gt=tuple(gts[i]), nodata=nodata, connect8=connect8):
-            rid.append(batch["raster_id"][i].as_py())
-            val.append(int(poly["value"]))
-            wkbs.append(W.encode_polygon(poly["rings"]))
-            cnt.append(poly["pixel_count"])
-    return pa.table(
-        {
-            "raster_id": pa.array(rid, pa.string()),
-            "value": pa.array(val, pa.int32()),
-            "wkb": pa.array(wkbs, pa.binary()),
-            "pixel_count": pa.array(cnt, pa.int32()),
-        }
-    )
 
 
 def roundtrip_batch(batch: pa.Table, nodata=-1) -> pa.Table:

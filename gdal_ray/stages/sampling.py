@@ -1,15 +1,12 @@
 """Sampling operators (SURVEY §2: GDAL's bApproxOK / overview-sampled
 statistics, ``gcore/gdalrasterband.cpp:4194`` ComputeStatistics approx path).
 
-Two forms:
-
 - ``random_sample``: thin exposure of Ray Data's bernoulli sampler — the
   generic row-sampling operator;
 - ``deterministic_sample``: key-hash bernoulli (keep iff
   ``(key * KNUTH) % 100 < pct``) — reproducible across runs AND expressible
   in ANSI SQL, so sampled pipelines stay oracle-checkable;
-- ``approx_decode_stats``: the bApproxOK shape — per-image stats computed
-  on a deterministic subset of the corpus instead of every image.
+- ``stratified_sample``: a fixed number of rows per key group.
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ import pyarrow as pa
 
 KNUTH = 2654435761
 
-__all__ = ["random_sample", "deterministic_sample", "stratified_sample",
-           "approx_decode_stats"]
+__all__ = ["random_sample", "deterministic_sample", "stratified_sample"]
 
 
 def random_sample(ds, fraction: float, seed: int | None = None):
@@ -43,33 +39,6 @@ def deterministic_sample(ds, key_col: str, pct: int):
         return batch.filter(pa.array(h < np.uint64(pct)))
 
     return ds.map_batches(flt, batch_format="pyarrow")
-
-
-def approx_decode_stats(corpus_dir: str, pct: int = 10):
-    """Approximate corpus statistics on a deterministic image subset
-    (GDAL bApproxOK parity: trade exactness for a bounded-cost scan)."""
-    import os
-
-    import ray.data as rd
-
-    from gdal_ray.stages.decode import decode_stats
-
-    src = rd.read_parquet(
-        os.path.join(corpus_dir, "images.parquet"),
-        columns=["image_id", "bytes", "fmt"],
-    )
-
-    def flt(batch: pa.Table) -> pa.Table:
-        # image_id strings -> stable integer key via the trailing digits
-        keys = np.asarray(
-            [int(s[3:]) for s in batch["image_id"].to_pylist()], dtype=np.uint64
-        )
-        h = ((keys % np.uint64(1 << 32)) * np.uint64(KNUTH)) % np.uint64(100)
-        return batch.filter(pa.array(h < np.uint64(pct)))
-
-    return src.map_batches(flt, batch_format="pyarrow").map_batches(
-        decode_stats, batch_format="pyarrow", batch_size=128
-    )
 
 
 def stratified_sample(ds, key_col: str, id_col: str, n_per_key: int,

@@ -58,8 +58,9 @@ def _token_hashes(tokens: list[str]) -> np.ndarray:
     out = np.empty(len(tokens), dtype=np.uint64)
     for i, t in enumerate(tokens):
         h = _FNV_OFFSET
-        for b in t.encode("utf-8"):
-            h = (h ^ np.uint64(b)) * _FNV_PRIME
+        with np.errstate(over="ignore"):  # the multiply wraps mod 2^64 by design
+            for b in t.encode("utf-8"):
+                h = (h ^ np.uint64(b)) * _FNV_PRIME
         out[i] = h
     return out
 

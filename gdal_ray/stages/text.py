@@ -13,8 +13,7 @@ import numpy as np
 import pandas as pd
 
 __all__ = ["TextStats", "LangId", "Fingerprint", "RepetitionStats",
-           "GopherNgramStats", "DolmaSignals", "PIIRedact", "C4LineFilter",
-           "token_count_sql_parity"]
+           "GopherNgramStats", "DolmaSignals", "PIIRedact", "C4LineFilter"]
 
 _STOPWORDS = {
     "the", "and", "of", "a", "to", "in", "is", "it", "that", "for", "on", "as",
@@ -434,11 +433,3 @@ class PIIRedact:
             hashlib.md5(s.encode("utf-8")).hexdigest() for s in red
         ]
         return batch
-
-
-def token_count_sql_parity(text_col):
-    """The SQL-parity token count used in oracle_sql: number of maximal
-    non-space runs. DuckDB equivalent:
-      length(regexp_replace(trim(text), '\\S+', 'x', 'g')) applied carefully —
-    we instead use regexp_split and count non-empty pieces on both sides."""
-    raise NotImplementedError("documentation helper only")

@@ -184,6 +184,61 @@ def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
     assert packed.equals(per_row_group)
 
 
+def test_query_side_reads_in_the_joining_task(ray_session, corpus):
+    """The broadcast PIP and kNN read query_points in the task that joins
+    them: no ReadParquet (and so no SplitBlocks barrier) in either plan."""
+    from gdal_ray.pipelines import flagship as F
+
+    for ds in (F.pip_join_query_points(corpus), F.knn_images(corpus)):
+        stats = ds.materialize().stats()
+        assert "FromItems" in stats
+        assert "ReadParquet" not in stats and "SplitBlocks" not in stats
+
+
+def test_fused_query_source_row_groups_and_parts(ray_session, tmp_path, monkeypatch):
+    """A query table of 3 row groups, then of 2 part files of 2 row groups
+    each: every row comes back projected and in file order, in one task
+    per packed group of row groups (1 at 1 Ray CPU, one per row group at
+    32)."""
+    import ray
+    from ray.data import DataContext
+
+    from gdal_ray.geo import mercator as M
+    from gdal_ray.pipelines import flagship as F
+
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
+    n = 12
+    rng = np.random.default_rng(0)
+    table = pa.table({
+        "query_id": [f"q{i:02d}" for i in range(n)],
+        "lon": rng.uniform(-170, 170, n),
+        "lat": rng.uniform(-80, 80, n),
+        "k": pa.array(rng.integers(1, 9, n), pa.int32()),
+    })
+    mx, my = M.latlon_to_meters(table["lat"].to_numpy(), table["lon"].to_numpy())
+
+    single = tmp_path / "single"
+    single.mkdir()
+    pq.write_table(table, single / "query_points.parquet", row_group_size=4)
+    parted = tmp_path / "parted"
+    (parted / "query_points.parquet").mkdir(parents=True)
+    for i in range(2):
+        pq.write_table(table.slice(6 * i, 6), parted / "query_points.parquet" / f"part-{i}.parquet",
+                       row_group_size=3)
+
+    for corpus, n_units in ((single, 3), (parted, 4)):
+        for cpus, n_tasks in ((1, 1), (32, n_units)):
+            monkeypatch.setattr(F, "cluster_cpus", lambda: cpus)
+            mat = F._query_points(str(corpus), ["query_id", "k"]).materialize()
+            got = pa.concat_tables(ray.get(mat.to_arrow_refs()))
+            assert mat.num_blocks() == n_tasks
+            assert got.column_names == ["query_id", "k", "cx", "cy"]
+            assert got["query_id"].to_pylist() == table["query_id"].to_pylist()
+            assert got["k"].to_pylist() == table["k"].to_pylist()
+            np.testing.assert_array_equal(got["cx"].to_numpy(), mx)
+            np.testing.assert_array_equal(got["cy"].to_numpy(), my)
+
+
 def test_decode_invariants(ray_session, corpus, placed):
     df = placed.to_pandas()
     # phash recomputed from decoded pixels equals the stored column
