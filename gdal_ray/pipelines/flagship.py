@@ -13,8 +13,15 @@ kernel)`` is it over query_points: the projection to EPSG:3857 and the
 broadcast PIP or kNN kernel run in the read task. Tasks are sized by the
 bytes they read (``_task_bounds``): a payload read runs one task per row
 group, a metadata-only read no more tasks than its bytes justify but one
-per Ray CPU where it has the row groups. The broadcast indexes (polygon
-cells, kNN centroids) are put once per Ray session and corpus
+per Ray CPU where it has the row groups. Those bytes also set the source's
+own ``target_max_block_size``: Ray Data 2.49 admits a map task only when
+its pending output fits the operator's object-store budget, and until one
+task has returned it prices that output at ``target_max_block_size`` x 2
+(``ray/data/_internal/execution/interfaces/op_runtime_metrics.py:585-604``,
+``operators/task_pool_map_operator.py:134-141``). At Ray's 128 MiB default
+a 768 MiB object store admits one task at a time; at the largest task's
+read bytes every task that has a CPU starts at once. The broadcast indexes
+(polygon cells, kNN centroids) are put once per Ray session and corpus
 (``_broadcast_ref``).
 ``placed_images`` is ``fused_image_apply`` with the decode-stats + geo kernel
 (``decode=True``) or the geo kernel alone over (image_id, w, h).
@@ -158,7 +165,10 @@ def _task_bounds(sizes: list, cpus: int, target_bytes: int) -> list:
     target_bytes)))`` contiguous, non-empty groups of about equal bytes, in
     order. A unit (row group) is never split, so a read whose bytes fill a
     block per row group keeps one task per row group, and a small read
-    still gets a task per CPU (when it has that many units)."""
+    still gets a task per CPU (when it has that many units). No units, no
+    groups."""
+    if not sizes:
+        return []
     total = sum(sizes)
     n = min(len(sizes), max(cpus, -(-total // target_bytes)))
     bounds, start, acc = [], 0, 0
@@ -198,24 +208,37 @@ def fused_table_apply(path: str, kernel, *, columns: list | None = None, merge=N
     Each task reads a contiguous run of row groups (``_task_bounds`` over
     the bytes of ``columns`` each one holds, against Ray's
     ``target_min_block_size``) and emits its rows in file order, so the
-    output is the same whatever the task count. Each row group is read
-    without pyarrow threads and with its schema metadata stripped (as
-    ``read_parquet_tight`` does); ``merge(table, part_path) -> table``, when
-    given, runs on it before ``kernel``.
+    output is the same whatever the task count. A directory with no part
+    files is an empty Dataset.
+
+    Admission: Ray prices a task's pending output at 2 x
+    ``target_max_block_size`` until one task of the operator has returned
+    (``op_runtime_metrics.py:585-604``, ``task_pool_map_operator.py:134-141``)
+    and admits a task only while that fits the operator's object-store
+    budget, about 0.375 x the store (``resource_manager.py:49, 508-560``).
+    So the source sets its plan's own context (``Dataset.context``, the copy
+    ``from_items`` makes; the global ``DataContext`` is untouched) to
+    ``max(target_min_block_size, largest task's read bytes)``, and every
+    task that has a CPU starts at once. Datasets derived from this one share
+    the setting; an output over it is split into more blocks.
+
+    Each row group is read without pyarrow threads and with its schema
+    metadata stripped (as ``read_parquet_tight`` does); ``merge(table,
+    part_path) -> table``, when given, runs on it before ``kernel``.
 
     ``kernel`` must return a correctly-TYPED table for empty input (it is
     called even when a filter inside leaves zero rows, so every block
     carries the output schema)."""
     units = _table_units(path, columns)
-    bounds = _task_bounds(
-        [u["read_bytes"] for u in units],
-        cluster_cpus(),
-        rd.DataContext.get_current().target_min_block_size,
-    )
+    min_block = rd.DataContext.get_current().target_min_block_size
+    sizes = [u["read_bytes"] for u in units]
+    bounds = _task_bounds(sizes, cluster_cpus(), min_block)
     # one item (so one block, so one task) per group of units
-    ds = rd.from_items(
-        [{"units": units[a:b]} for a, b in bounds], override_num_blocks=len(bounds)
-    )
+    items = [{"units": units[a:b]} for a, b in bounds]
+    ds = rd.from_items(items, override_num_blocks=len(items)) if items else rd.from_items([])
+    # the plan's own context (from_items copies the global one): Ray prices
+    # each task's output at 2 x this until one task has returned
+    ds.context.target_max_block_size = max([min_block] + [sum(sizes[a:b]) for a, b in bounds])
 
     def load(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -340,17 +363,16 @@ def _polygon_index_ref(corpus_dir: str):
 
 
 def pip_join_images(placed: rd.Dataset, corpus_dir: str) -> rd.Dataset:
-    """Image centroids vs polygon layer -> (src_id, poly_id) rows."""
+    """Image centroids vs polygon layer -> (src_id, poly_id) rows. The
+    projection and rename run in the joining map: one operator, no
+    ``Project``."""
     index_ref = _polygon_index_ref(corpus_dir)
-    pts = placed.select_columns(["image_id", "cx", "cy", "cell"]).rename_columns(
-        {"image_id": "src_id"}
-    )
-    return pts.map_batches(
-        pip_join_batch,
-        fn_kwargs={"index_ref": index_ref},
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+
+    def join(batch: pa.Table) -> pa.Table:
+        pts = batch.select(["image_id", "cx", "cy", "cell"])
+        return pip_join_batch(pts.rename_columns(["src_id", "cx", "cy", "cell"]), index_ref)
+
+    return placed.map_batches(join, batch_format="pyarrow", batch_size=None)
 
 
 def _project_queries(batch: pa.Table) -> pa.Table:

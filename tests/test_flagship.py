@@ -126,6 +126,7 @@ def test_task_bounds_pack_consecutive_units():
     meta = [4466, 4466, 4466, 4071]  # (image_id, w, h) of the 1k-image corpus
     payload = [6606294, 7563279, 7592375, 6216488]  # + (bytes, fmt)
     singles = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert F._task_bounds([], 2, mib) == []
     assert F._task_bounds(meta, 1, mib) == [(0, 4)]
     assert F._task_bounds(meta, 2, mib) == [(0, 2), (2, 4)]
     assert F._task_bounds(meta, 32, mib) == singles
@@ -161,13 +162,19 @@ def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
     """At 2 Ray CPUs the metadata-only source packs the corpus' 4 row
     groups into 2 read tasks, the payload source keeps one task per row
     group, and the packed output equals the one-task-per-row-group output
-    row for row, order included."""
+    row for row, order included. Each source's own context carries its
+    largest task's read bytes (at least Ray's minimum block size) as the
+    block size target; the global context is left as it was."""
+    import os
+
     import ray
     from ray.data import DataContext
 
     from gdal_ray.pipelines import flagship as F
 
-    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
+    ctx = DataContext.get_current()
+    global_target = ctx.target_max_block_size
+    monkeypatch.setattr(ctx.execution_options, "preserve_order", True)
 
     def run(ds):
         # one output block per read task
@@ -175,9 +182,18 @@ def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
         return mat.num_blocks(), pa.concat_tables(ray.get(mat.to_arrow_refs()))
 
     monkeypatch.setattr(F, "cluster_cpus", lambda: 2)
-    n_meta, packed = run(F.placed_images(corpus, decode=False))
-    n_payload, _ = run(F.decoded_places(corpus))
+    meta = F.placed_images(corpus, decode=False)
+    payload = F.decoded_places(corpus)
+    assert meta.context.target_max_block_size == ctx.target_min_block_size
+    units = F._table_units(os.path.join(corpus, "images.parquet"),
+                           ["image_id", "bytes", "fmt", "w", "h"])
+    assert payload.context.target_max_block_size == max(
+        [ctx.target_min_block_size] + [u["read_bytes"] for u in units])
+    assert payload.context.target_max_block_size < global_target
+    n_meta, packed = run(meta)
+    n_payload, _ = run(payload)
     assert (n_meta, n_payload) == (2, 4)
+    assert DataContext.get_current().target_max_block_size == global_target
     monkeypatch.setattr(F, "cluster_cpus", lambda: 32)
     n_one, per_row_group = run(F.placed_images(corpus, decode=False))
     assert n_one == 4
@@ -186,20 +202,24 @@ def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
 
 def test_query_side_reads_in_the_joining_task(ray_session, corpus):
     """The broadcast PIP and kNN read query_points in the task that joins
-    them: no ReadParquet (and so no SplitBlocks barrier) in either plan."""
+    them: no ReadParquet (and so no SplitBlocks barrier) in either plan.
+    The image-side PIP selects and renames its columns in the joining map,
+    with no Project operator."""
     from gdal_ray.pipelines import flagship as F
 
     for ds in (F.pip_join_query_points(corpus), F.knn_images(corpus)):
         stats = ds.materialize().stats()
         assert "FromItems" in stats
         assert "ReadParquet" not in stats and "SplitBlocks" not in stats
+    stats = F.pip_join_images(F.placed_images(corpus, decode=False), corpus).materialize().stats()
+    assert "FromItems" in stats and "Project" not in stats
 
 
 def test_fused_query_source_row_groups_and_parts(ray_session, tmp_path, monkeypatch):
     """A query table of 3 row groups, then of 2 part files of 2 row groups
     each: every row comes back projected and in file order, in one task
     per packed group of row groups (1 at 1 Ray CPU, one per row group at
-    32)."""
+    32). A part-file directory with no files reads as 0 rows."""
     import ray
     from ray.data import DataContext
 
@@ -237,6 +257,69 @@ def test_fused_query_source_row_groups_and_parts(ray_session, tmp_path, monkeypa
             assert got["k"].to_pylist() == table["k"].to_pylist()
             np.testing.assert_array_equal(got["cx"].to_numpy(), mx)
             np.testing.assert_array_equal(got["cy"].to_numpy(), my)
+
+    empty = tmp_path / "empty"
+    (empty / "query_points.parquet").mkdir(parents=True)
+    assert F._query_points(str(empty), ["query_id", "k"]).count() == 0
+
+
+_BARRIER = """
+import os
+import sys
+import time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+from ray.data import DataContext
+
+from gdal_ray.pipelines import flagship as F
+
+tmp = sys.argv[1]
+path = os.path.join(tmp, "two_row_groups.parquet")
+pq.write_table(pa.table({"rg": [0, 1]}), path, row_group_size=1)
+
+
+def barrier(t):
+    me = t["rg"][0].as_py()
+    open(os.path.join(tmp, f"marker-{me}"), "w").close()
+    other = os.path.join(tmp, f"marker-{1 - me}")
+    deadline = time.monotonic() + 10
+    while not os.path.exists(other) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return t.append_column("saw_other", pa.array([os.path.exists(other)]))
+
+
+ray.init(address="local", num_cpus=2, object_store_memory=768 << 20,
+         include_dashboard=False, logging_level="ERROR", log_to_driver=False)
+DataContext.get_current().enable_progress_bars = False
+rows = F.fused_table_apply(path, barrier).take_all()
+print("SAW", *sorted((r["rg"], r["saw_other"]) for r in rows))
+ray.shutdown()
+"""
+
+
+def test_fused_read_tasks_start_together(tmp_path):
+    """Under a small object store (2 Ray CPUs, 768 MiB) both read tasks of
+    a 2-row-group table run at once: each kernel call waits for the other
+    row group's marker file and sees it. Ray admits a task only when its
+    estimated output fits the operator's object-store budget, and prices it
+    at 2 x the context's target_max_block_size until one task has returned;
+    at Ray's 128 MiB default only one task fits. Runs in a subprocess so
+    the shared test session is left alone."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.run([sys.executable, "-c", _BARRIER, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    saw = [ln for ln in proc.stdout.splitlines() if ln.startswith("SAW ")]
+    assert saw == ["SAW (0, True) (1, True)"]
 
 
 def test_decode_invariants(ray_session, corpus, placed):
