@@ -10,19 +10,16 @@ the images, each row group first given the placement columns of its
 like-named placements shard (``_take_placements``, worker-cached), so the
 raw image payload never leaves the task. ``_query_points(corpus, columns,
 kernel)`` is it over query_points: the projection to EPSG:3857 and the
-broadcast PIP or kNN kernel run in the read task. Tasks are sized by the
-bytes they read (``_task_bounds``): a payload read runs one task per row
-group, a metadata-only read no more tasks than its bytes justify but one
-per Ray CPU where it has the row groups. Those bytes also set the source's
-own ``target_max_block_size``: Ray Data 2.49 admits a map task only when
-its pending output fits the operator's object-store budget, and until one
-task has returned it prices that output at ``target_max_block_size`` x 2
-(``ray/data/_internal/execution/interfaces/op_runtime_metrics.py:585-604``,
-``operators/task_pool_map_operator.py:134-141``). At Ray's 128 MiB default
-a 768 MiB object store admits one task at a time; at the largest task's
-read bytes every task that has a CPU starts at once. The broadcast indexes
-(polygon cells, kNN centroids) are put once per Ray session and corpus
-(``_broadcast_ref``).
+broadcast PIP or kNN kernel run in the read task. Every read runs one task
+per Ray CPU (``min(row groups, cluster_cpus())`` groups, ``_task_bounds``),
+so no task waits for a second scheduling round: Ray Data 2.49's loop wakes
+only when every active task is ready or after 100 ms
+(``ray/data/_internal/execution/streaming_executor_state.py:499-504``).
+Each task yields its row groups' kernel outputs, which Ray merges into
+blocks of up to the source's own ``target_max_block_size``, the largest row
+group's read bytes (``ray/data/_internal/output_buffer.py:77-91``; see
+``fused_table_apply``). The broadcast indexes (polygon cells, kNN
+centroids) are put once per Ray session and corpus (``_broadcast_ref``).
 ``placed_images`` is ``fused_image_apply`` with the decode-stats + geo kernel
 (``decode=True``) or the geo kernel alone over (image_id, w, h).
 ``decoded_places`` is the headline's source: its kernel decodes every
@@ -31,9 +28,11 @@ payload) but computes none of the per-image stats the headline drops. The
 headline path (``flagship_single_pass``) adds no shuffle and no
 mid-pipeline materialization:
 
-    row-group read ─▶ placements merge ─▶ kernel (decode payloads, geo columns)
-      ─▶ per-batch: explode_tiles  +  pip_join_batch(broadcast polygon index)
+    row-group read ─▶ placements merge ─▶ kernel (decode payloads, geo columns,
+      explode_tiles  +  pip_join_batch(broadcast polygon index))
       ─▶ tagged (tile | pip) rows, streamed to the consumer
+
+all in one ``MapBatches(load)`` task per Ray CPU.
 
 The corpus must be co-sharded: its images and placements tables are
 like-named part files (``fixtures/generate.py`` writes them so), and
@@ -159,26 +158,27 @@ def _table_units(path: str, columns: list | None = None) -> list:
     return units
 
 
-def _task_bounds(sizes: list, cpus: int, target_bytes: int) -> list:
+def _task_bounds(sizes: list, cpus: int) -> list:
     """[start, stop) bounds that cut consecutive units of ``sizes`` bytes
-    into one group per read task: ``min(units, max(cpus, ceil(total /
-    target_bytes)))`` contiguous, non-empty groups of about equal bytes, in
-    order. A unit (row group) is never split, so a read whose bytes fill a
-    block per row group keeps one task per row group, and a small read
-    still gets a task per CPU (when it has that many units). No units, no
-    groups."""
+    into one group per read task: ``min(units, cpus)`` contiguous, non-empty
+    groups of about equal bytes, in order. Group ``g`` closes at the unit
+    edge nearest its mark, ``(g + 1) / n`` of the bytes, unless every later
+    unit must open a group of its own. A unit (row group) is never split.
+    No units, no groups."""
     if not sizes:
         return []
     total = sum(sizes)
-    n = min(len(sizes), max(cpus, -(-total // target_bytes)))
+    n = min(len(sizes), cpus)
     bounds, start, acc = [], 0, 0
     for i, size in enumerate(sizes[:-1]):
         if len(bounds) == n - 1:
             break
         acc += size
-        # close at each 1/n of the bytes, or when every later unit must
-        # open a group of its own
-        if acc * n >= total * (len(bounds) + 1) or len(sizes) - i - 1 == n - 1 - len(bounds):
+        # close after unit i when its edge is no farther from the group's
+        # mark than the edge after unit i + 1 (mark - acc <= acc +
+        # sizes[i + 1] - mark), or when every later unit must open a group
+        nearest = (2 * acc + sizes[i + 1]) * n >= 2 * total * (len(bounds) + 1)
+        if nearest or len(sizes) - i - 1 == n - 1 - len(bounds):
             bounds.append((start, i + 1))
             start = i + 1
     bounds.append((start, len(sizes)))
@@ -205,22 +205,32 @@ def fused_table_apply(path: str, kernel, *, columns: list | None = None, merge=N
     the plan is ``FromItems -> one fused map`` (no ``ReadParquet``, so no
     ``SplitBlocks`` fusion barrier and no sampling task at build time).
 
-    Each task reads a contiguous run of row groups (``_task_bounds`` over
-    the bytes of ``columns`` each one holds, against Ray's
-    ``target_min_block_size``) and emits its rows in file order, so the
-    output is the same whatever the task count. A directory with no part
-    files is an empty Dataset.
+    One task per Ray CPU: ``_task_bounds`` cuts the row groups into
+    ``min(row groups, cluster_cpus())`` contiguous groups of about equal
+    bytes of ``columns``. Each task yields its row groups' kernel outputs
+    one by one, in file order, so the output is the same whatever the task
+    count. A directory with no part files is an empty Dataset.
 
-    Admission: Ray prices a task's pending output at 2 x
-    ``target_max_block_size`` until one task of the operator has returned
-    (``op_runtime_metrics.py:585-604``, ``task_pool_map_operator.py:134-141``)
-    and admits a task only while that fits the operator's object-store
-    budget, about 0.375 x the store (``resource_manager.py:49, 508-560``).
-    So the source sets its plan's own context (``Dataset.context``, the copy
-    ``from_items`` makes; the global ``DataContext`` is untouched) to
-    ``max(target_min_block_size, largest task's read bytes)``, and every
-    task that has a CPU starts at once. Datasets derived from this one share
-    the setting; an output over it is split into more blocks.
+    Why one task per CPU: Ray Data 2.49 starts a second wave of tasks late.
+    Its scheduling loop waits in ``ray.wait(active, num_returns=len(active),
+    timeout=0.1)`` (``streaming_executor_state.py:499-504``), so it wakes
+    only when every active task is ready or after 100 ms, and a finished
+    task needs one more wake-up for its end of stream. A task queued behind
+    a full first wave started up to 100 ms after its slot went idle.
+
+    Block size: Ray merges a task's yielded tables into blocks of up to
+    ``target_max_block_size`` (``output_buffer.py:77-91``). Until one task
+    of the operator has returned, it also prices each task's pending output
+    at 2 x that target (``op_runtime_metrics.py:585-604``,
+    ``task_pool_map_operator.py:134-141``) and admits a task only while the
+    price fits the operator's object-store budget, about 0.375 x the store
+    (``resource_manager.py:49, 508-560``). The source sets its plan's own
+    context (``Dataset.context``, the copy ``from_items`` makes; the global
+    ``DataContext`` is untouched) to ``max(target_min_block_size, largest
+    row group's read bytes)``. So a small output (metadata, the flagship's
+    rows) is one block per task, a payload output about one block per row
+    group, and every task starts at once under a small object store.
+    Datasets derived from this one share the setting.
 
     Each row group is read without pyarrow threads and with its schema
     metadata stripped (as ``read_parquet_tight`` does); ``merge(table,
@@ -230,20 +240,16 @@ def fused_table_apply(path: str, kernel, *, columns: list | None = None, merge=N
     called even when a filter inside leaves zero rows, so every block
     carries the output schema)."""
     units = _table_units(path, columns)
-    min_block = rd.DataContext.get_current().target_min_block_size
     sizes = [u["read_bytes"] for u in units]
-    bounds = _task_bounds(sizes, cluster_cpus(), min_block)
     # one item (so one block, so one task) per group of units
-    items = [{"units": units[a:b]} for a, b in bounds]
+    items = [{"units": units[a:b]} for a, b in _task_bounds(sizes, cluster_cpus())]
     ds = rd.from_items(items, override_num_blocks=len(items)) if items else rd.from_items([])
-    # the plan's own context (from_items copies the global one): Ray prices
-    # each task's output at 2 x this until one task has returned
-    ds.context.target_max_block_size = max([min_block] + [sum(sizes[a:b]) for a, b in bounds])
+    # the plan's own context (from_items copies the global one)
+    ds.context.target_max_block_size = max([ds.context.target_min_block_size] + sizes)
 
-    def load(batch: pa.Table) -> pa.Table:
+    def load(batch: pa.Table):
         import pyarrow.parquet as pq
 
-        outs = []
         for group in batch["units"].to_pylist():
             for u in group:
                 # use_threads=False: each task owns ONE CPU slot; pyarrow's
@@ -254,8 +260,10 @@ def fused_table_apply(path: str, kernel, *, columns: list | None = None, merge=N
                 ).replace_schema_metadata(None)
                 if merge is not None:
                     t = merge(t, u["path"])
-                outs.append(kernel(t))
-        return pa.concat_tables(outs, promote_options="default")
+                out = kernel(t)
+                # a payload read is not held across the yield
+                del t
+                yield out
 
     return ds.map_batches(load, batch_format="pyarrow", batch_size=None)
 
@@ -305,6 +313,10 @@ def _decode_geo(t: pa.Table) -> pa.Table:
     return _add_geo(decode_stats(t))
 
 
+# what the flagship's decode reads of the images table
+_DECODE_COLUMNS = ["image_id", "bytes", "fmt", "w", "h"]
+
+
 def _decoded_geo(t: pa.Table) -> pa.Table:
     """Decode every payload, so a corrupt one fails the task, then keep only
     what the flagship reads: payload dropped, geo columns added. No pHash,
@@ -319,7 +331,7 @@ def _decoded_geo(t: pa.Table) -> pa.Table:
 def decoded_places(corpus_dir: str) -> rd.Dataset:
     """Every image placed (centroid, bbox, cell) with its payload decoded
     and dropped: the flagship's source."""
-    return fused_image_apply(corpus_dir, _decoded_geo, columns=["image_id", "bytes", "fmt", "w", "h"])
+    return fused_image_apply(corpus_dir, _decoded_geo, columns=_DECODE_COLUMNS)
 
 
 def placed_images(corpus_dir: str, decode: bool = True) -> rd.Dataset:
@@ -475,7 +487,6 @@ def flagship_single_pass(corpus_dir: str, zooms=TILE_ZOOMS) -> rd.Dataset:
     nulls in the columns the row kind doesn't use.
     """
     index_ref = _polygon_index_ref(corpus_dir)
-    placed = decoded_places(corpus_dir)
 
     def both(batch: pa.Table) -> pa.Table:
         tiles = G.explode_tiles(batch, zooms)
@@ -511,4 +522,5 @@ def flagship_single_pass(corpus_dir: str, zooms=TILE_ZOOMS) -> rd.Dataset:
             }
         )
 
-    return placed.map_batches(both, batch_format="pyarrow", batch_size=None)
+    # one map: decode, geo columns, tiles and PIP all run in the read task
+    return fused_image_apply(corpus_dir, lambda t: both(_decoded_geo(t)), columns=_DECODE_COLUMNS)

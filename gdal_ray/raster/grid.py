@@ -143,9 +143,12 @@ def grid_points(
                 out[s : s + chunk] = cnt
                 continue
             vv = np.where(inside, pv[None, :], np.nan)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", divide="ignore"):
                 if algorithm == "average":
-                    vals = np.nanmean(vv, axis=1)
+                    # nanmean without its "Mean of empty slice" warning on
+                    # rows with no point inside (cnt 0 maps to nodata below)
+                    ok = ~np.isnan(vv)
+                    vals = np.where(ok, vv, 0.0).sum(axis=1) / ok.sum(axis=1)
                 elif algorithm == "minimum":
                     vals = np.nanmin(np.where(inside, vv, np.inf), axis=1)
                     vals[~np.isfinite(vals)] = np.nan

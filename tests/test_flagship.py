@@ -118,32 +118,39 @@ def test_knn_exact_shuffle_path(ray_session, corpus):
 
 
 def test_task_bounds_pack_consecutive_units():
-    """Read tasks: min(units, max(cpus, ceil(bytes / target))) contiguous,
-    non-empty, in-order groups of whole units, about equal in bytes."""
+    """Read tasks: min(units, cpus) contiguous, non-empty, in-order groups
+    of whole units, each closed at the unit edge nearest its share of the
+    bytes."""
     from gdal_ray.pipelines import flagship as F
 
     mib = 1 << 20
     meta = [4466, 4466, 4466, 4071]  # (image_id, w, h) of the 1k-image corpus
-    payload = [6606294, 7563279, 7592375, 6216488]  # + (bytes, fmt)
+    payload = [6733944, 6750907, 6796087, 7695204]  # + (bytes, fmt), seed 1
     singles = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert F._task_bounds([], 2, mib) == []
-    assert F._task_bounds(meta, 1, mib) == [(0, 4)]
-    assert F._task_bounds(meta, 2, mib) == [(0, 2), (2, 4)]
-    assert F._task_bounds(meta, 32, mib) == singles
-    for cpus in (1, 2, 32):
-        assert F._task_bounds(payload, cpus, mib) == singles
+    assert F._task_bounds([], 2) == []
+    for sizes in (meta, payload):
+        assert F._task_bounds(sizes, 1) == [(0, 4)]
+        # the payload's first edge past half the bytes is 3 units in, but
+        # the edge after 2 units is nearer
+        assert F._task_bounds(sizes, 2) == [(0, 2), (2, 4)]
+        assert F._task_bounds(sizes, 4) == F._task_bounds(sizes, 32) == singles
 
     rng = np.random.default_rng(0)
     sizes = rng.integers(0, 3 * mib, 40).tolist()
-    for cpus in (1, 2, 32):
-        bounds = F._task_bounds(sizes, cpus, 8 * mib)
-        want_n = min(len(sizes), max(cpus, -(-sum(sizes) // (8 * mib))))
-        assert len(bounds) == want_n
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    for cpus in (1, 2, 3, 8, 32, 64):
+        bounds = F._task_bounds(sizes, cpus)
+        n = min(len(sizes), cpus)
+        assert len(bounds) == n
         assert bounds[0][0] == 0 and bounds[-1][1] == len(sizes)
         assert all(a < b for a, b in bounds)
         assert all(b == a2 for (_, b), (a2, _) in zip(bounds, bounds[1:]))
-        share = sum(sizes) / want_n
-        assert all(sum(sizes[a:b]) <= share + max(sizes[a:b]) for a, b in bounds)
+        for g, (a, b) in enumerate(bounds[:-1]):
+            mark = edges[-1] * (g + 1) / n
+            # a one-unit group closed as early as it could; the last
+            # groups may be forced to one unit each
+            forced = b - a == 1 or len(sizes) - b == n - 1 - g
+            assert forced or abs(edges[b] - mark) <= max(sizes) / 2, (cpus, g)
 
 
 def test_fused_source_rejects_non_cosharded_corpus(tmp_path):
@@ -159,12 +166,13 @@ def test_fused_source_rejects_non_cosharded_corpus(tmp_path):
 
 
 def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
-    """At 2 Ray CPUs the metadata-only source packs the corpus' 4 row
-    groups into 2 read tasks, the payload source keeps one task per row
-    group, and the packed output equals the one-task-per-row-group output
-    row for row, order included. Each source's own context carries its
-    largest task's read bytes (at least Ray's minimum block size) as the
-    block size target; the global context is left as it was."""
+    """At 2 Ray CPUs both the metadata-only and the payload source run the
+    corpus' 4 row groups as 2 read tasks, one per CPU. Each source's own
+    context carries its largest row group's read bytes (at least Ray's
+    minimum block size) as the block size target, so the metadata output is
+    one block per task and a pass-through payload output one block per row
+    group. The output equals the 32-CPU one-task-per-row-group output row
+    for row, order included, and the global context is left as it was."""
     import os
 
     import ray
@@ -177,27 +185,32 @@ def test_fused_source_sized_by_read_bytes(ray_session, corpus, monkeypatch):
     monkeypatch.setattr(ctx.execution_options, "preserve_order", True)
 
     def run(ds):
-        # one output block per read task
         mat = ds.materialize()
-        return mat.num_blocks(), pa.concat_tables(ray.get(mat.to_arrow_refs()))
+        tasks = [ln for ln in mat.stats().splitlines() if "MapBatches(load)" in ln]
+        assert len(tasks) == 1, tasks
+        n_tasks = int(tasks[0].split(": ")[1].split(" tasks executed")[0])
+        return n_tasks, mat.num_blocks(), pa.concat_tables(ray.get(mat.to_arrow_refs()))
 
+    columns = ["image_id", "bytes", "fmt", "w", "h"]
+    units = F._table_units(os.path.join(corpus, "images.parquet"), columns)
+    sources = {
+        "meta": lambda: F.placed_images(corpus, decode=False),
+        "payload": lambda: F.fused_image_apply(corpus, lambda t: t, columns=columns),
+    }
     monkeypatch.setattr(F, "cluster_cpus", lambda: 2)
-    meta = F.placed_images(corpus, decode=False)
-    payload = F.decoded_places(corpus)
+    meta, payload = sources["meta"](), sources["payload"]()
     assert meta.context.target_max_block_size == ctx.target_min_block_size
-    units = F._table_units(os.path.join(corpus, "images.parquet"),
-                           ["image_id", "bytes", "fmt", "w", "h"])
     assert payload.context.target_max_block_size == max(
         [ctx.target_min_block_size] + [u["read_bytes"] for u in units])
     assert payload.context.target_max_block_size < global_target
-    n_meta, packed = run(meta)
-    n_payload, _ = run(payload)
-    assert (n_meta, n_payload) == (2, 4)
+    at_two = {"meta": run(meta), "payload": run(payload)}
+    assert [at_two[k][:2] for k in ("meta", "payload")] == [(2, 2), (2, 4)]
     assert DataContext.get_current().target_max_block_size == global_target
     monkeypatch.setattr(F, "cluster_cpus", lambda: 32)
-    n_one, per_row_group = run(F.placed_images(corpus, decode=False))
-    assert n_one == 4
-    assert packed.equals(per_row_group)
+    for name, make in sources.items():
+        n_tasks, n_blocks, per_row_group = run(make())
+        assert (n_tasks, n_blocks) == (4, 4)
+        assert at_two[name][2].equals(per_row_group)
 
 
 def test_query_side_reads_in_the_joining_task(ray_session, corpus):
@@ -213,6 +226,18 @@ def test_query_side_reads_in_the_joining_task(ray_session, corpus):
         assert "ReadParquet" not in stats and "SplitBlocks" not in stats
     stats = F.pip_join_images(F.placed_images(corpus, decode=False), corpus).materialize().stats()
     assert "FromItems" in stats and "Project" not in stats
+
+
+def test_flagship_is_one_fused_map(ray_session, corpus):
+    """The headline job is FromItems plus one MapBatches(load): the tile
+    explode and the PIP join run inside the fused read kernel, with no
+    MapBatches(both) after it."""
+    from gdal_ray.pipelines import flagship as F
+
+    stats = F.flagship_single_pass(corpus).materialize().stats()
+    ops = [ln.split(": ")[0].split(" ", 2)[2] for ln in stats.splitlines()
+           if ln.startswith("Operator ")]
+    assert ops == ["FromItems", "MapBatches(load)"]
 
 
 def test_fused_query_source_row_groups_and_parts(ray_session, tmp_path, monkeypatch):
@@ -275,38 +300,53 @@ from ray.data import DataContext
 
 from gdal_ray.pipelines import flagship as F
 
-tmp = sys.argv[1]
-path = os.path.join(tmp, "two_row_groups.parquet")
-pq.write_table(pa.table({"rg": [0, 1]}), path, row_group_size=1)
+tmp, n = sys.argv[1], int(sys.argv[2])
+path = os.path.join(tmp, "row_groups.parquet")
+# 1.5 MiB read per row group, more than Ray's 1 MiB minimum block: a
+# payload-sized read
+pad = pa.array([b"x" * (3 << 19)] * n, pa.binary())
+pq.write_table(pa.table({"rg": list(range(n)), "pad": pad}), path, row_group_size=1)
+firsts = (0, n // 2)  # the first row group of each of the 2 tasks
 
 
 def barrier(t):
     me = t["rg"][0].as_py()
-    open(os.path.join(tmp, f"marker-{me}"), "w").close()
-    other = os.path.join(tmp, f"marker-{1 - me}")
-    deadline = time.monotonic() + 10
-    while not os.path.exists(other) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return t.append_column("saw_other", pa.array([os.path.exists(other)]))
+    seen = True
+    if me in firsts:
+        # each task's first row group waits for the other task's first
+        open(os.path.join(tmp, f"marker-{me}"), "w").close()
+        other = os.path.join(tmp, f"marker-{sum(firsts) - me}")
+        deadline = time.monotonic() + 10
+        while not os.path.exists(other) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        seen = os.path.exists(other)
+    return t.select(["rg"]).append_column("saw_other", pa.array([seen])).append_column(
+        "pid", pa.array([os.getpid()], pa.int64()))
 
 
 ray.init(address="local", num_cpus=2, object_store_memory=768 << 20,
          include_dashboard=False, logging_level="ERROR", log_to_driver=False)
 DataContext.get_current().enable_progress_bars = False
-rows = F.fused_table_apply(path, barrier).take_all()
-print("SAW", *sorted((r["rg"], r["saw_other"]) for r in rows))
+rows = sorted(F.fused_table_apply(path, barrier).take_all(), key=lambda r: r["rg"])
+print("SAW", *[(r["rg"], r["saw_other"]) for r in rows])
+pids = {}
+for r in rows:
+    pids.setdefault(r["pid"], []).append(r["rg"])
+print("TASKS", *sorted(pids.values()))
 ray.shutdown()
 """
 
 
 def test_fused_read_tasks_start_together(tmp_path):
-    """Under a small object store (2 Ray CPUs, 768 MiB) both read tasks of
-    a 2-row-group table run at once: each kernel call waits for the other
-    row group's marker file and sees it. Ray admits a task only when its
-    estimated output fits the operator's object-store budget, and prices it
-    at 2 x the context's target_max_block_size until one task has returned;
-    at Ray's 128 MiB default only one task fits. Runs in a subprocess so
-    the shared test session is left alone."""
+    """Under a small object store (2 Ray CPUs, 768 MiB) the two read tasks
+    run at once: the first row group of each task waits for the other's
+    marker file and sees it. Ray admits a task only when its estimated
+    output fits the operator's object-store budget, and prices it at 2 x
+    the context's target_max_block_size until one task has returned; at
+    Ray's 128 MiB default only one task fits. With 4 row groups there is
+    one task per CPU, each on its own worker: row groups 0 and 1 on one,
+    2 and 3 on the other, and no second wave. Runs in subprocesses so the
+    shared test session is left alone."""
     import os
     import subprocess
     import sys
@@ -315,11 +355,16 @@ def test_fused_read_tasks_start_together(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
     env.pop("RAY_ADDRESS", None)
-    proc = subprocess.run([sys.executable, "-c", _BARRIER, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    saw = [ln for ln in proc.stdout.splitlines() if ln.startswith("SAW ")]
-    assert saw == ["SAW (0, True) (1, True)"]
+    for n, tasks in ((2, "TASKS [0] [1]"), (4, "TASKS [0, 1] [2, 3]")):
+        d = tmp_path / str(n)
+        d.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _BARRIER, str(d), str(n)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        saw = [ln for ln in lines if ln.startswith("SAW ")]
+        assert saw == ["SAW " + " ".join(f"({i}, True)" for i in range(n))]
+        assert [ln for ln in lines if ln.startswith("TASKS ")] == [tasks]
 
 
 def test_decode_invariants(ray_session, corpus, placed):

@@ -170,6 +170,29 @@ def test_grid_invdist_and_nearest():
     assert np.allclose(a, 20.0)
 
 
+def test_grid_average_empty_nodes_warn_nothing():
+    """Nodes with no point inside the radius get nodata without numpy's
+    "Mean of empty slice" warning; the others equal nanmean bit for bit."""
+    import warnings
+
+    rng = np.random.default_rng(3)
+    px, py = rng.uniform(0, 30, 40), rng.uniform(0, 20, 40)
+    pv = rng.normal(50.0, 20.0, 40)
+    gt = (0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid_points(px, py, pv, 30, 20, gt, algorithm="average", radius=2.0, nodata=-9.0)
+    cols, rows = np.meshgrid(np.arange(30) + 0.5, np.arange(20) + 0.5)
+    d2 = (cols.ravel()[:, None] - px) ** 2 + (rows.ravel()[:, None] - py) ** 2
+    inside = d2 <= 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = np.nanmean(np.where(inside, pv, np.nan), axis=1)
+    want = np.where(inside.any(axis=1), want, -9.0).reshape(20, 30)
+    assert (~inside.any(axis=1)).sum() > 0 and inside.any(axis=1).sum() > 0
+    assert np.array_equal(got, want)
+
+
 def test_warp_identity_same_srs():
     from gdal_ray.raster.warp import warp_image
 
