@@ -2,7 +2,7 @@
 
 The container has no imaging libraries (no PIL / libjpeg / GDAL drivers), so:
 
-- ``png``: a real, self-contained PNG codec (pure zlib + numpy). Writes
+- ``png``: a real, self-contained PNG codec (numpy + zlib streams). Writes
   filter-0 scanlines; reads any of the five standard filters, 8-bit
   grayscale / RGB / RGBA. Lossless — decoded pixels are compared with
   exact ``allclose`` in tests.
@@ -14,6 +14,15 @@ The container has no imaging libraries (no PIL / libjpeg / GDAL drivers), so:
   The legacy round-2 "qlossy" stand-in blobs still decode (magic-sniffed)
   so cached corpora remain readable.
 
+Every zlib stream whose inflated size the caller knows (PNG IDAT, qlossy,
+TIFF deflate strips and tiles, the tile pyramid's partials) goes through
+``inflate``. It binds the system libdeflate once per process through
+ctypes, as GDAL's ``CPLZLibInflateEx`` does when built with it
+(``port/cpl_vsil_gzip.cpp``), and falls back to ``zlib.decompress`` when
+the library or its symbols cannot be loaded. Both backends inflate
+byte-identical output; ``inflate_backend()`` names the one in use.
+Encoding stays on zlib, so written bytes do not depend on the host.
+
 This replaces GDAL's raster driver layer for the image payload (the
 reference registers ~153 codecs, ``frmts/gdalallregister.cpp:111``); our
 corpus carries encoded bytes + ``fmt`` per row instead of driver-dispatched
@@ -22,7 +31,11 @@ files.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import functools
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -35,10 +48,86 @@ __all__ = [
     "decode_qlossy",
     "decode_image",
     "psnr",
+    "inflate",
+    "inflate_backend",
 ]
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 _QL_MAGIC = b"QLS1"
+
+
+@functools.cache
+def _libdeflate():
+    """The system libdeflate with its inflate symbols typed, or None when
+    the library or a symbol cannot be loaded."""
+    name = ctypes.util.find_library("deflate")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_zlib_decompress.argtypes = [
+            ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t,
+            ctypes.c_void_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_size_t)]
+        lib.libdeflate_zlib_decompress.restype = ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+class _Decompressor:
+    """One thread's libdeflate decompressor. Each call builds its Huffman
+    tables inside the decompressor, so one must never be shared between
+    threads."""
+
+    def __init__(self, lib):
+        self.ptr = lib.libdeflate_alloc_decompressor()
+        if not self.ptr:
+            raise MemoryError("libdeflate_alloc_decompressor")
+        self._free = lib.libdeflate_free_decompressor
+
+    def __del__(self):
+        self._free(self.ptr)
+
+
+_THREAD = threading.local()
+
+
+def inflate_backend() -> str:
+    """Name of the library ``inflate`` runs on: ``libdeflate`` or, where
+    it cannot be loaded, ``zlib <version>``."""
+    return "libdeflate" if _libdeflate() is not None else f"zlib {zlib.ZLIB_RUNTIME_VERSION}"
+
+
+def inflate(data: bytes, size: int) -> np.ndarray:
+    """Inflate the zlib stream ``data`` into a writable uint8 array of
+    exactly ``size`` bytes. Bytes after the stream are ignored. Raises
+    ``zlib.error`` on a corrupt or truncated stream and ``ValueError``
+    when a valid stream inflates to more or fewer than ``size`` bytes.
+
+    libdeflate inflates into the array in one call. Any stream it does not
+    inflate to exactly ``size`` bytes is handed to zlib, which raises: on
+    a truncated stream libdeflate may report either bad data or a full
+    output buffer, so zlib alone decides which error a stream gets."""
+    lib = _libdeflate()
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    if lib is not None:
+        d = getattr(_THREAD, "decompressor", None)
+        if d is None:
+            d = _THREAD.decompressor = _Decompressor(lib)
+        out = np.empty(size, dtype=np.uint8)
+        got = ctypes.c_size_t()
+        if (lib.libdeflate_zlib_decompress(d.ptr, data, len(data), out.ctypes.data, size,
+                                           ctypes.byref(got)) == 0 and got.value == size):
+            return out
+    raw = zlib.decompress(data, bufsize=size)
+    if len(raw) != size:
+        raise ValueError(f"zlib stream inflates to {len(raw)} bytes, expected {size}")
+    return np.frombuffer(bytearray(raw), dtype=np.uint8)
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -142,9 +231,8 @@ def decode_png(buf: bytes) -> np.ndarray:
         elif tag == b"IEND":
             break
     bpp = c * (depth // 8)  # filter left-neighbor offset, in BYTES
-    raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
     stride = w * bpp + 1
-    raw = raw.reshape(h, stride)
+    raw = inflate(b"".join(idat), h * stride).reshape(h, stride)
     filters = raw[:, 0]
     data = raw[:, 1:].copy()
     if not (filters == 0).all():  # our own writer's fast path is all-0
@@ -211,7 +299,7 @@ def decode_qlossy(buf: bytes) -> np.ndarray:
     if buf[:4] != _QL_MAGIC:
         raise ValueError("not a qlossy blob")
     w, h, c, step = struct.unpack_from("<IIBB", buf, 4)
-    q = np.frombuffer(zlib.decompress(buf[14:]), dtype=np.uint8)
+    q = inflate(buf[14:], w * h * c)
     img = np.minimum(q.astype(np.uint16) * step, 255).astype(np.uint8)
     return img.reshape(h, w, c)
 

@@ -4,9 +4,9 @@ speaks the baseline-TIFF 6.0 + GeoTIFF-1.1 subset that covers
 single-band analytic rasters).
 
 Reader: classic TIFF (little- or big-endian), striped or tiled, single
-band, compression none(1) / LZW(5) / Deflate(8,32946) / PackBits(32773),
-horizontal predictor(2), sample formats uint/int/float at 8/16/32/64
-bits. Georeferencing from ModelPixelScale+ModelTiepoint or
+band, compression none(1) / LZW(5) / Deflate(8,32946; ``codec.inflate``)
+/ PackBits(32773), horizontal predictor(2), sample formats uint/int/float
+at 8/16/32/64 bits. Georeferencing from ModelPixelScale+ModelTiepoint or
 ModelTransformation; CRS from the GeoKeyDirectory's
 Projected/GeographicTypeGeoKey.
 
@@ -26,6 +26,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from gdal_ray.io.codec import inflate
 
 __all__ = ["read_tiff_header", "read_tiff_ifds", "read_tile",
            "write_geotiff", "write_geotiff_multi",
@@ -332,19 +334,22 @@ def read_tile(path_or_bytes, hdr: dict, idx: int) -> np.ndarray:
             fh.seek(off)
             raw = fh.read(cnt)
     comp = hdr["compression"]
+    dt = hdr["dtype"]
+    tw = hdr["tile_w"]
+    spp = hdr.get("spp", 1)
     if comp == 1:
         data = raw
     elif comp in (8, 32946):
-        data = zlib.decompress(raw)
+        # a strip holds rows-per-strip rows, the last one only the rest
+        rows = (hdr["tile_h"] if hdr["tiled"]
+                else min(hdr["tile_h"], hdr["h"] - idx * hdr["tile_h"]))
+        data = inflate(raw, rows * tw * spp * dt.itemsize)
     elif comp == 5:
         data = _lzw_decode(raw)
     elif comp == 32773:
         data = _packbits_decode(raw)
     else:
         raise ValueError(f"unsupported TIFF compression {comp}")
-    dt = hdr["dtype"]
-    tw = hdr["tile_w"]
-    spp = hdr.get("spp", 1)
     th = (len(data) // (tw * spp * dt.itemsize)
           if not hdr["tiled"] else hdr["tile_h"])
     arr = np.frombuffer(data, dtype=dt, count=tw * th * spp)

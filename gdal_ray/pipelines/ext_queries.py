@@ -766,8 +766,7 @@ def q_pii_redact(sf_dir: str):
 
     return (
         ds.map_batches(inject, batch_format="pandas")
-        .map_batches(PIIRedact, batch_format="pandas",
-                     concurrency=(1, 4), batch_size=2048)
+        .map_batches(PIIRedact(), batch_format="pandas", batch_size=2048)
         .select_columns(["doc_id", "n_emails", "n_phones", "n_ips",
                          "redacted_md5"])
         .sort("doc_id")

@@ -271,14 +271,13 @@ def _step_dup_clusters(ds, a: str = "a", b: str = "b"):
 def _step_pii_redact(ds, text_col: str = "text"):
     """PII scrub (stages/text.PIIRedact): emails/phones/IPv4 replaced by
     <EMAIL>/<PHONE>/<IP> tokens; adds per-row match counts and the
-    redacted text + its md5. The stage is an actor pool (patterns
-    compiled once per actor)."""
+    redacted text + its md5. The stage runs as tasks over a mapped
+    ``PIIRedact()`` instance."""
     from gdal_ray.stages.text import PIIRedact
 
     if text_col != "text":
         ds = ds.rename_columns({text_col: "text"})
-    out = ds.map_batches(PIIRedact, batch_format="pandas",
-                         concurrency=(1, 8), batch_size=2048)
+    out = ds.map_batches(PIIRedact(), batch_format="pandas", batch_size=2048)
     if text_col != "text":
         out = out.rename_columns({"text": text_col})
     return out

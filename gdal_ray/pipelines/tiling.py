@@ -145,12 +145,10 @@ def _compose_group(part: pd.DataFrame) -> pd.DataFrame:
         masks = g["mask"].to_numpy()
         tile = np.zeros((TILE_SIZE, TILE_SIZE, 3), dtype=np.uint8)
         for i in range(len(partials)):
-            partial = np.frombuffer(zlib.decompress(partials[i]), dtype=np.uint8).reshape(
+            partial = C.inflate(partials[i], TILE_SIZE * TILE_SIZE * 3).reshape(
                 TILE_SIZE, TILE_SIZE, 3
             )
-            ok = np.unpackbits(np.frombuffer(zlib.decompress(masks[i]), dtype=np.uint8))[
-                : TILE_SIZE * TILE_SIZE
-            ]
+            ok = np.unpackbits(C.inflate(masks[i], TILE_SIZE * TILE_SIZE // 8))
             ok = ok.reshape(TILE_SIZE, TILE_SIZE).astype(bool)
             tile[ok] = partial[ok]
         rows["z"].append(int(z))

@@ -1,8 +1,10 @@
 """Text-analysis stages for the documents table (engine additions for
 large-scale training-data pipelines; no GDAL counterpart).
 
-All stages are callable classes (actor pools): regexes/tables compiled once
-per actor, batches processed vectorized with pandas string kernels.
+All stages are callable classes: regexes/tables compiled once per
+instance, batches processed vectorized with pandas string kernels. Most run
+as actor pools; ``PIIRedact`` is mapped as an instance, so it runs as tasks
+(the pickled instance carries its patterns to each task).
 """
 
 from __future__ import annotations

@@ -28,3 +28,20 @@ def corpus(ray_session):
 
     n = int(os.environ.get("GDAL_RAY_TEST_IMAGES", "1000"))
     return generate_corpus(n)
+
+
+@pytest.fixture
+def inflate_backends(monkeypatch):
+    """Iterates the ``codec.inflate`` backends inside one test: yields
+    "libdeflate" where the library loads, then forces the zlib fallback
+    for the rest of the test and yields "zlib". A loop keeps each test's
+    name while its body runs on both backends."""
+    from gdal_ray.io import codec
+
+    def backends():
+        if codec._libdeflate() is not None:
+            yield "libdeflate"
+        monkeypatch.setattr(codec, "_libdeflate", lambda: None)
+        yield "zlib"
+
+    return backends

@@ -9,15 +9,16 @@ from gdal_ray.io import phash as PH
 from gdal_ray.raster.checksum import checksum_image
 
 
-def test_png_roundtrip_rgb_gray_rgba():
-    rng = np.random.default_rng(5)
-    for shape in [(33, 47, 3), (64, 64, 1), (17, 9, 4), (128, 256, 3)]:
-        img = rng.integers(0, 256, shape, dtype=np.uint8)
-        out = C.decode_png(C.encode_png(img))
-        assert (out == img).all()
+def test_png_roundtrip_rgb_gray_rgba(inflate_backends):
+    for backend in inflate_backends():
+        rng = np.random.default_rng(5)
+        for shape in [(33, 47, 3), (64, 64, 1), (17, 9, 4), (128, 256, 3)]:
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            out = C.decode_png(C.encode_png(img))
+            assert (out == img).all(), backend
 
 
-def test_png_decoder_handles_up_filter():
+def test_png_decoder_handles_up_filter(inflate_backends):
     # hand-build a PNG with filter type 2 (Up) rows
     import struct
     import zlib
@@ -36,15 +37,18 @@ def test_png_decoder_handles_up_filter():
         + C._chunk(b"IDAT", zlib.compress(bytes(raw)))
         + C._chunk(b"IEND", b"")
     )
-    assert (C.decode_png(blob)[:, :, 0] == img).all()
+    for backend in inflate_backends():
+        assert (C.decode_png(blob)[:, :, 0] == img).all(), backend
 
 
-def test_qlossy_psnr_above_40db():
+def test_qlossy_psnr_above_40db(inflate_backends):
     # legacy round-2 stand-in blobs must stay decodable (cached corpora)
     rng = np.random.default_rng(6)
     img = rng.integers(0, 256, (96, 80, 3), dtype=np.uint8)
-    dec = C.decode_qlossy(C.encode_qlossy(img))
-    assert C.psnr(img, dec) >= 40.0
+    blob = C.encode_qlossy(img)
+    decoded = [C.decode_qlossy(blob) for _ in inflate_backends()]
+    assert all(np.array_equal(d, decoded[0]) for d in decoded)
+    assert C.psnr(img, decoded[0]) >= 40.0
 
 
 def test_jpeg_container_structure():
@@ -131,21 +135,22 @@ def test_checksum_matches_scalar_oracle():
     assert checksum_image(f) == O.checksum_scalar(conv.ravel().tolist())
 
 
-def test_png_16bit_roundtrip():
+def test_png_16bit_roundtrip(inflate_backends):
     """16-bit gray + RGB PNGs round-trip exactly (big-endian samples)."""
     from gdal_ray.io.codec import decode_png, encode_png
 
-    rng = np.random.default_rng(81)
-    g = rng.integers(0, 65536, (33, 47)).astype(np.uint16)
-    out = decode_png(encode_png(g))
-    assert out.dtype == np.uint16 and out.shape == (33, 47, 1)
-    assert np.array_equal(out[:, :, 0], g)
-    rgb = rng.integers(0, 65536, (20, 21, 3)).astype(np.uint16)
-    out = decode_png(encode_png(rgb))
-    assert out.dtype == np.uint16 and np.array_equal(out, rgb)
+    for backend in inflate_backends():
+        rng = np.random.default_rng(81)
+        g = rng.integers(0, 65536, (33, 47)).astype(np.uint16)
+        out = decode_png(encode_png(g))
+        assert out.dtype == np.uint16 and out.shape == (33, 47, 1), backend
+        assert np.array_equal(out[:, :, 0], g), backend
+        rgb = rng.integers(0, 65536, (20, 21, 3)).astype(np.uint16)
+        out = decode_png(encode_png(rgb))
+        assert out.dtype == np.uint16 and np.array_equal(out, rgb), backend
 
 
-def test_png_16bit_sub_filter():
+def test_png_16bit_sub_filter(inflate_backends):
     """Hand-built 16-bit PNG with the Sub filter: the byte-wise bpp=2
     left-neighbor defilter reconstructs the samples exactly."""
     import struct
@@ -168,11 +173,11 @@ def test_png_16bit_sub_filter():
     buf = (_PNG_SIG + _chunk(b"IHDR", ihdr)
            + _chunk(b"IDAT", zlib.compress(b"".join(rows)))
            + _chunk(b"IEND", b""))
-    out = decode_png(buf)
-    assert np.array_equal(out[:, :, 0], vals)
+    for backend in inflate_backends():
+        assert np.array_equal(decode_png(buf)[:, :, 0], vals), backend
 
 
-def test_png_palette_with_trns():
+def test_png_palette_with_trns(inflate_backends):
     """8-bit palette PNG expands through PLTE (+tRNS alpha) to RGBA."""
     import struct
     import zlib
@@ -188,16 +193,17 @@ def test_png_palette_with_trns():
     buf = (_PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"PLTE", plte)
            + _chunk(b"tRNS", trns)
            + _chunk(b"IDAT", zlib.compress(raw)) + _chunk(b"IEND", b""))
-    out = decode_png(buf)
-    assert out.shape == (2, 3, 4)
-    assert tuple(out[0, 0]) == (255, 0, 0, 10)
-    assert tuple(out[0, 1]) == (0, 255, 0, 200)
-    assert tuple(out[0, 2]) == (0, 0, 255, 255)
     # without tRNS: plain RGB
     buf_rgb = (_PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"PLTE", plte)
                + _chunk(b"IDAT", zlib.compress(raw)) + _chunk(b"IEND", b""))
-    out2 = decode_png(buf_rgb)
-    assert out2.shape == (2, 3, 3) and tuple(out2[1, 0]) == (0, 0, 255)
+    for backend in inflate_backends():
+        out = decode_png(buf)
+        assert out.shape == (2, 3, 4), backend
+        assert tuple(out[0, 0]) == (255, 0, 0, 10)
+        assert tuple(out[0, 1]) == (0, 255, 0, 200)
+        assert tuple(out[0, 2]) == (0, 0, 255, 255)
+        out2 = decode_png(buf_rgb)
+        assert out2.shape == (2, 3, 3) and tuple(out2[1, 0]) == (0, 0, 255)
 
 
 def _jpeg_cases():
@@ -307,3 +313,129 @@ def test_jpeg_truncated_scan_raises():
     for cut in (len(buf) // 2, len(buf) - 40, 30):
         with pytest.raises(ValueError):
             decode_jpeg(buf[:cut])
+
+
+def test_inflate_contract(inflate_backends):
+    """Exact-size writable output, trailing bytes ignored, and the backend
+    named by ``inflate_backend``."""
+    import zlib
+
+    raw = bytes(range(256)) * 40
+    stream = zlib.compress(raw)
+    for backend in inflate_backends():
+        assert C.inflate_backend().split()[0] == backend
+        for data in (stream, stream + b"trailing bytes", bytearray(stream)):
+            out = C.inflate(data, len(raw))
+            assert out.dtype == np.uint8 and out.flags.writeable, backend
+            assert out.tobytes() == raw, backend
+        assert C.inflate(zlib.compress(b""), 0).size == 0
+
+
+def _png_parts(buf):
+    """[(tag, payload)] of a PNG's chunks."""
+    import struct
+
+    off, parts = 8, []
+    while off < len(buf):
+        (n,) = struct.unpack_from(">I", buf, off)
+        parts.append((buf[off + 4 : off + 8], buf[off + 8 : off + 8 + n]))
+        off += 12 + n
+    return parts
+
+
+def _png_from_parts(parts):
+    return C._PNG_SIG + b"".join(C._chunk(tag, payload) for tag, payload in parts)
+
+
+def _error_type(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+    return None
+
+
+def test_inflate_errors_match_across_backends(inflate_backends):
+    """A bad checksum, every truncation of a stream and an IHDR whose size
+    disagrees with the data raise the same type on both backends: zlib.error
+    for a broken stream, ValueError for a valid one of the wrong size."""
+    import struct
+    import zlib
+
+    rng = np.random.default_rng(11)
+    img = (rng.integers(0, 8, (40, 50, 3)) * (rng.random((40, 50, 3)) < 0.3)).astype(np.uint8)
+    parts = _png_parts(C.encode_png(img))
+    ihdr, idat = parts[0][1], parts[1][1]
+    w, h = struct.unpack_from(">II", ihdr)
+
+    def with_idat(data):
+        return _png_from_parts([parts[0], (b"IDAT", data), parts[2]])
+
+    def with_height(rows):
+        return _png_from_parts([(b"IHDR", struct.pack(">II", w, rows) + ihdr[8:])] + parts[1:])
+
+    cases = {"adler32": with_idat(idat[:-1] + bytes([idat[-1] ^ 1])),
+             "more rows": with_height(h + 1), "fewer rows": with_height(h - 1)}
+    cases.update({f"cut {k}": with_idat(idat[:-k]) for k in range(1, len(idat) - 2)})
+    got = {b: {name: _error_type(C.decode_png, buf) for name, buf in cases.items()}
+           for b in inflate_backends()}
+    want = {name: zlib.error for name in cases}
+    want["more rows"] = want["fewer rows"] = ValueError
+    for backend, errors in got.items():
+        assert errors == want, backend
+
+
+def test_corpus_png_payloads_decode_identically(inflate_backends):
+    """Every PNG payload of the seed-1 1,000-image corpus decodes to the
+    same array on both backends."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from gdal_ray.fixtures.generate import generate_corpus
+
+    images = os.path.join(generate_corpus(1000, seed=1), "images.parquet")
+    t = pq.read_table(images, columns=["fmt", "bytes"])
+    blobs = [b for f, b in zip(t["fmt"].to_pylist(), t["bytes"].to_pylist()) if f == "png"]
+    assert len(blobs) > 500
+    decoded = [[C.decode_png(b) for b in blobs] for _ in inflate_backends()]
+    for arrs in decoded[1:]:
+        for a, b in zip(decoded[0], arrs):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_inflate_threads_use_their_own_decompressor():
+    """Two threads decoding PNGs at once through libdeflate both return
+    correct arrays (a shared decompressor would corrupt them)."""
+    import sys
+    import threading
+
+    if C._libdeflate() is None:
+        pytest.skip("libdeflate is not installed")
+    rng = np.random.default_rng(12)
+    imgs = [rng.integers(0, 256, (64 + i, 48, 3), dtype=np.uint8) for i in range(8)]
+    blobs = [C.encode_png(im) for im in imgs]
+    start = threading.Barrier(2)
+    bad, used = [], set()
+
+    def work():
+        start.wait()
+        for _ in range(50):
+            for im, blob in zip(imgs, blobs):
+                if not np.array_equal(C.decode_png(blob), im):
+                    bad.append(threading.get_ident())
+        used.add(C._THREAD.decompressor.ptr)
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    assert len(used) == 2

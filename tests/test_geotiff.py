@@ -27,16 +27,36 @@ def _reassemble(path):
     ("int32", "lzw"), ("float32", "deflate"), ("float64", "packbits"),
     ("uint8", "lzw"), ("uint8", "packbits"),
 ])
-def test_codec_roundtrip(tmp_path, dt, comp):
+def test_codec_roundtrip(tmp_path, dt, comp, inflate_backends):
     rng = np.random.default_rng(7)
     a = rng.normal(100, 30, (300, 500)).astype(dt)
     p = str(tmp_path / f"t_{dt}_{comp}.tif")
     write_geotiff(p, a, GT, epsg=32633, tile=128, compress=comp)
-    out, h = _reassemble(p)
-    assert (h["w"], h["h"]) == (500, 300)
-    assert h["gt"] == GT
-    assert h["epsg"] == 32633
-    assert np.array_equal(out.astype(a.dtype), a)
+    for backend in inflate_backends():
+        out, h = _reassemble(p)
+        assert (h["w"], h["h"]) == (500, 300)
+        assert h["gt"] == GT
+        assert h["epsg"] == 32633
+        assert np.array_equal(out.astype(a.dtype), a), backend
+
+
+def test_deflate_strips_short_last_strip(inflate_backends):
+    """A striped Deflate image inflates each strip to rows-per-strip rows,
+    and its last strip to only the rows left."""
+    import zlib
+
+    a = np.random.default_rng(8).integers(0, 60000, (10, 7)).astype("<u2")
+    rps = 4
+    blobs = [zlib.compress(a[y:y + rps].tobytes()) for y in range(0, 10, rps)]
+    buf = b"".join(blobs)
+    offsets = np.cumsum([0] + [len(b) for b in blobs[:-1]]).tolist()
+    hdr = {"offsets": offsets, "bytecounts": [len(b) for b in blobs], "compression": 8,
+           "dtype": a.dtype, "w": 7, "h": 10, "tile_w": 7, "tile_h": rps, "spp": 1,
+           "tiled": False, "predictor": 1}
+    for backend in inflate_backends():
+        got = np.vstack([read_tile(buf, hdr, i) for i in range(len(blobs))])
+        assert [read_tile(buf, hdr, i).shape[0] for i in range(3)] == [4, 4, 2]
+        assert np.array_equal(got, a), backend
 
 
 def test_lzw_stress_and_geographic(tmp_path):

@@ -76,6 +76,25 @@ def test_overview_downsample_average(pyramid):
     assert (got == want).all()
 
 
+def test_compose_inflates_identically_on_both_backends(small_corpus, pyramid, inflate_backends):
+    """Composing inflates every partial and mask: run in this process on
+    each backend over the base zoom's partials, it makes the PNG tiles the
+    pyramid wrote."""
+    from gdal_ray.pipelines.flagship import fused_image_apply
+    from gdal_ray.pipelines.tiling import _compose_group, render_partial_tiles
+    from gdal_ray.stages import geo as G
+
+    partials = fused_image_apply(small_corpus, G.add_bbox_meters).map_batches(
+        render_partial_tiles, fn_kwargs={"z": 5}, batch_format="pyarrow").to_pandas()
+    base = _read_level(pyramid[0], 5).set_index(["x", "y"])["png"]
+    keys = sorted(set(zip(partials["x"], partials["y"])))[:40]
+    part = partials[[k in set(keys) for k in zip(partials["x"], partials["y"])]]
+    for backend in inflate_backends():
+        got = _compose_group(part).set_index(["x", "y"])["png"]
+        assert sorted(got.index) == keys, backend
+        assert all(got[k] == base[k] for k in keys), backend
+
+
 def test_resume_skips_and_recomputes_exactly(ray_session, small_corpus, pyramid):
     from gdal_ray.pipelines.tiling import tile_pyramid
 
