@@ -11,6 +11,12 @@ inside the partition).
 ``cobucket_join`` is the engine's one equi-join: both sides, tagged into one
 schema (``co_union``), sort on one hash bucket of their keys, and each sorted
 block joins its whole buckets with one ``pa.Table.join``. No actors hold CPUs.
+
+Both run the engine's one exchange, ``_per_sorted_block``: a sort on the
+bucket column over fixed ranges of the known bucket domain ``[0, B)``
+(``max(2, min(B, cluster CPUs))`` equal ranges, ``_bucket_boundaries``; Ray
+samples no boundaries). A marker row per range makes every range, an empty
+one too, run the block function, and every block it emits is Arrow.
 """
 
 from __future__ import annotations
@@ -58,11 +64,46 @@ def _bucket_of(keys, num_buckets: int):
     return add
 
 
-def _per_sorted_block(ds, run_block, batch_format: str):
-    """Sort on ``__bucket`` and run ``run_block`` once per sorted block,
-    which holds whole buckets (a sort range never splits a key):
-    GroupedData.map_groups' plan, the empty-block path left to ``run_block``."""
-    return ds.sort("__bucket").map_batches(run_block, batch_size=None, batch_format=batch_format)
+def _bucket_boundaries(num_buckets: int, cpus: int) -> list:
+    """Sort boundaries cutting the bucket domain ``[0, num_buckets)`` into
+    ``n = max(2, min(num_buckets, cpus))`` ranges of equal width (up to one
+    bucket). ``n`` is never 1: Ray 2.49 samples boundaries when the list
+    is empty."""
+    n = max(2, min(num_buckets, cpus))
+    return [num_buckets * i // n for i in range(1, n)]
+
+
+def _per_sorted_block(ds, num_buckets: int, run_block):
+    """Sort on ``__bucket`` over the fixed ranges of ``_bucket_boundaries``
+    and run ``run_block(rows)`` once per sorted block, which holds whole
+    buckets (a range never splits a key): GroupedData.map_groups' plan
+    without its sampling pass.
+
+    Each range also gets one marker row, with ``__bucket`` -1 in the first
+    range and each boundary in the others (a single bucket leaves the first
+    range no bucket), so no range is empty: Ray would pass a 0-row range
+    through ``run_block`` untouched, as a block with no schema. ``rows`` is
+    the block without its marker (Arrow, 0 rows for a range of no data)."""
+    import ray.data as rd
+
+    from gdal_ray.ops.runtime import cluster_cpus
+
+    bounds = _bucket_boundaries(num_buckets, cluster_cpus())
+    markers = rd.from_arrow(pa.table({
+        "__bucket": pa.array([-1] + bounds, pa.int64()),
+        "__marker": pa.array([True] * (len(bounds) + 1)),
+    }))
+
+    def run(block: pa.Table) -> pa.Table:
+        # the range's one marker row, cut out without a copy (the sort's
+        # merge gave it nulls in the data columns, and the data rows a null
+        # ``__marker``)
+        i = pc.index(block["__marker"], True).as_py()
+        rows = pa.concat_tables([block.slice(0, i), block.slice(i + 1)])
+        return run_block(rows.drop_columns(["__marker"]))
+
+    return ds.union(markers).sort("__bucket", boundaries=bounds).map_batches(
+        run, batch_size=None, batch_format="pyarrow")
 
 
 def bucketed_group_apply(ds, keys, fn, num_buckets: int = 64, schema: pa.Schema | None = None):
@@ -73,49 +114,36 @@ def bucketed_group_apply(ds, keys, fn, num_buckets: int = 64, schema: pa.Schema 
     within-partition grouping. Equivalent result to groupby(keys).map_groups
     for group-local computations, at partition-call granularity.
 
-    ``schema``: optional explicit Arrow schema for ``fn``'s output. Pass it
-    whenever ``fn`` can return EMPTY frames — an empty pandas object column
-    otherwise degrades to a null-typed (or schema-less) block and the
-    streaming executor logs schema-mismatch warnings on every such block.
+    The exchange sorts the ``num_buckets`` buckets over
+    ``max(2, min(num_buckets, cluster CPUs))`` fixed, equal ranges
+    (``_bucket_boundaries``), one output block per range.
 
-    Residual warning note: even with ``schema=``, a task whose output has
-    ZERO rows still triggers one "RefBundle with a different schema …
-    new schema: (empty)" line — Ray's BlockOutputBuffer drops 0-row output
-    blocks entirely, so the bundle carries no schema for the executor to
-    see. It is cosmetic. Avoid it by not creating empty partitions: size
-    ``num_buckets`` at or below the expected distinct-key count (surplus
-    sort ranges are the other common source, alongside surplus read tasks
-    on single-row-group files).
+    Every output block is Arrow. ``fn``'s frame converts once: cast to
+    ``schema`` when one is given, otherwise by Arrow's inference, without
+    the pandas metadata either way. Pass ``schema`` whenever the caller
+    knows it: a frame that is empty, or holds only nulls in a column,
+    infers a null-typed column, and a range with no rows gives a 0-row
+    block with no columns.
     """
 
-    def _typed(out):
+    def arrow(out) -> pa.Table:
         if isinstance(out, pd.DataFrame):
             out = pa.Table.from_pandas(out, schema=schema, preserve_index=False)
-        else:
+        elif schema is not None:
             out = out.cast(schema)
         return out.replace_schema_metadata(None)
 
-    def run_block(block: pd.DataFrame):
-        # One call to ``fn`` per bucket present in this sorted block — the
-        # same partition-call granularity groupby().map_groups gave, but an
-        # EMPTY sort-range block now yields a TYPED empty table instead of
-        # the schema-less block map_groups emits (which made the streaming
-        # executor log a schema-mismatch warning per empty block).
-        if len(block) == 0:
-            if schema is not None:
-                return schema.empty_table()
-            return block.drop(columns="__bucket", errors="ignore")
-        parts = [
-            fn(g.drop(columns="__bucket"))
-            for _, g in block.groupby("__bucket", sort=False)
-        ]
-        if schema is not None:
-            return pa.concat_tables([_typed(p) for p in parts])
-        pdf = [p.to_pandas() if isinstance(p, pa.Table) else p for p in parts]
-        return pd.concat(pdf, ignore_index=True) if len(pdf) > 1 else pdf[0]
+    def run_block(rows: pa.Table) -> pa.Table:
+        if rows.num_rows == 0:
+            return schema.empty_table() if schema is not None else pa.table({})
+        # one call to ``fn`` per bucket present in this sorted block
+        parts = [arrow(fn(g.drop(columns="__bucket")))
+                 for _, g in rows.to_pandas().groupby("__bucket", sort=False)]
+        return pa.concat_tables(parts, promote_options="permissive")
 
     return _per_sorted_block(
-        ds.map_batches(_bucket_of(keys, num_buckets), batch_format="pyarrow"), run_block, "pandas")
+        ds.map_batches(_bucket_of(keys, num_buckets), batch_format="pyarrow"),
+        num_buckets, run_block)
 
 
 def co_union(left, right, schema: pa.Schema):
@@ -195,4 +223,4 @@ def cobucket_join(left, right, on, right_on=None, how: str = "inner", *,
         ),
         combined,
     )
-    return _per_sorted_block(both, join_block, "pyarrow")
+    return _per_sorted_block(both, _JOIN_BUCKETS, join_block)

@@ -280,7 +280,9 @@ def q_datum_shift(sf_dir: str):
             "dlat_q": dlat_q, "dlon_q": dlon_q,
         })
         agg = df.groupby("band", as_index=False).sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
+        # no pandas metadata: the Aggregate -> Sort after this dedups
+        # schemas through a set, and a dict-valued entry cannot hash
+        return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
 
     from ray.data.aggregate import Sum
 

@@ -1478,14 +1478,13 @@ def execute_sql(sql: str, sf_dir):
     return _plan(q, sf_dir)
 
 
-def _distinct(ds, names: list):
-    """Distinct rows over ``names`` in one bucketed shuffle, as Arrow blocks
-    like its 0-row ones (a sort fails over mixed block types)."""
+def _distinct(ds, names: list, schema):
+    """Distinct rows over ``names`` in one bucketed shuffle; ``schema``
+    types its output (None: Arrow's inference)."""
     from gdal_ray.ops.shuffle import bucketed_group_apply
 
     return bucketed_group_apply(
-        ds, names, lambda p: p.drop_duplicates(names), 16
-    ).map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
+        ds, names, lambda p: p.drop_duplicates(names), 16, schema=schema)
 
 
 def _plan_union(q: dict, sf_dir: str):
@@ -1495,7 +1494,8 @@ def _plan_union(q: dict, sf_dir: str):
     one bucketed drop-duplicates shuffle. Columns match by POSITION; the
     first member's names win (standard SQL)."""
     parts = [_plan(m, sf_dir) for m in q["union"]]
-    names = list(parts[0].schema().names)
+    schema = parts[0].schema().base_schema
+    names = list(schema.names)
 
     out = parts[0]
     for ds2, is_all in zip(parts[1:], q["union_all"]):
@@ -1508,7 +1508,7 @@ def _plan_union(q: dict, sf_dir: str):
             )
         out = out.union(ds2)
         if not is_all:
-            out = _distinct(out, names)
+            out = _distinct(out, names, schema if isinstance(schema, pa.Schema) else None)
     for c, _ in q["order_by"]:
         if not isinstance(c, str) or c not in names:
             raise SQLError(f"unknown ORDER BY column {c!r} "
@@ -1539,6 +1539,29 @@ def _arrow_schema(ds):
     return pa.Schema.from_pandas(ds.limit(1).to_pandas(), preserve_index=False)
 
 
+# the Arrow type of a pandas per-group aggregate that does not keep its
+# column's type (MIN, MAX and a float SUM keep it)
+_AGG_TYPES = {"count": pa.int64(), "count_distinct": pa.int64(), "avg": pa.float64(),
+              "stddev_pop": pa.float64(), "stddev_samp": pa.float64()}
+
+
+def _resolved_schema(src, cols: dict):
+    """Arrow schema of ``cols``, ``{name: Arrow type, or the column of
+    ``src`` it passes through}``; None when a name has neither (a computed
+    expression, whose type is known only once it runs) or ``src`` is not
+    an Arrow schema."""
+    if not isinstance(src, pa.Schema):
+        return None
+    fields = []
+    for name, c in cols.items():
+        if not isinstance(c, pa.DataType):
+            if c not in src.names:
+                return None
+            c = src.field(c).type
+        fields.append(pa.field(name, c))
+    return pa.schema(fields)
+
+
 def _plan(q: dict, sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Count, Max, Mean, Min, Sum
@@ -1546,7 +1569,8 @@ def _plan(q: dict, sf_dir: str):
     from gdal_ray.sources.corpus import read_parquet_tight as _rpt
 
     ds = _load_table(sf_dir, q["table"])
-    primary_cols = list(ds.schema().names)
+    scan_schema = ds.schema()
+    primary_cols = list(scan_schema.names)
     # instance maps: one per FROM/JOIN instance alias, {original column ->
     # internal name}. The primary instance keeps natural names; a joined
     # instance's column that collides with one already in scope (the
@@ -1792,7 +1816,7 @@ def _plan(q: dict, sf_dir: str):
 
         ds = ds.map_batches(project, batch_format="pyarrow")
         if q["distinct"]:
-            ds = _distinct(ds, out_names)
+            ds = _distinct(ds, out_names, None)
     else:
         group_by = q["group_by"] or []
         # per-select-item plan: each aggregate lands in a staging column.
@@ -1866,10 +1890,20 @@ def _plan(q: dict, sf_dir: str):
                     res[cname + "_r"] = v.to_numpy()
                 return res
 
+            # ``stage`` passes these columns through with their types
+            src = lschema if join_scans else scan_schema.base_schema
+            cols = {g: passed.get(g) for g in group_by}
+            cols.update({c + "_r": _AGG_TYPES.get(kind, passed.get(c))
+                         for c, kind, _, _ in agg_specs})
+            schema = _resolved_schema(src, cols)
+            if schema is not None:
+                # pandas sums an integer column to int64
+                sums = {c + "_r" for c, kind, _, _ in agg_specs if kind == "sum"}
+                schema = pa.schema([
+                    f.with_type(pa.int64()) if f.name in sums and pa.types.is_integer(f.type)
+                    else f for f in schema])
             agged = bucketed_group_apply(
-                staged, group_by, per_bucket,
-                num_buckets=32,
-            )
+                staged, group_by, per_bucket, num_buckets=32, schema=schema)
         else:
             ray_aggs = []
             for cname, kind, _, star in agg_specs:

@@ -24,7 +24,7 @@ Ray-Data-first plan (no reference counterpart; engine addition):
 Features are unigrams + bigrams of ``[a-z0-9_]+`` tokens of
 ``lower(text)`` (ASCII classes, RE2-compatible), hashed with
 ``int(md5(gram)[:8], 16) % B`` so the SQL twin reproduces bucket ids
-exactly. Per-unique-gram md5 is cached for the actor lifetime (bounded),
+exactly. Per-unique-gram md5 is cached (bounded),
 so steady-state hashing cost is one dict lookup per DISTINCT gram per
 batch, not per occurrence.
 """
@@ -45,7 +45,7 @@ __all__ = ["fit_importance_weights", "score_importance", "dsir_select",
            "dsir_gumbel_topk", "md5_bucket", "bucket_sql"]
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+", re.ASCII)
-_CACHE_CAP = 1_000_000  # unique grams held per actor
+_CACHE_CAP = 1_000_000  # unique grams held per cache
 
 
 def md5_bucket(gram: str, num_feats: int) -> int:
@@ -69,7 +69,7 @@ def _doc_gram_buckets(batch, cache: dict, num_feats: int,
                       id_col: str, text_col: str):
     """batch -> (doc_ids, buckets) flat int64 arrays: one entry per
     unigram and per bigram occurrence, vectorized through pandas with the
-    actor-lifetime gram->bucket cache."""
+    caller's gram->bucket cache."""
     texts = pd.Series(batch[text_col].to_pylist(), dtype="object")
     ids = pd.Series(batch[id_col].to_pylist())
     toks = texts.fillna("").str.lower().str.findall(_TOKEN_RE)
@@ -152,28 +152,29 @@ def fit_importance_weights(docs_ds, target_col: str, target_val,
     return np.floor(lam * 1e6 + 0.5).astype(np.int64)
 
 
-class _Score:
-    def __init__(self, lam_ref, num_feats: int):
-        import ray
+_SCORE_STATE: dict = {}
 
-        self.lam = ray.get(lam_ref)
-        self.num_feats = num_feats
-        self.cache: dict = {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, buckets = _doc_gram_buckets(
-            batch, self.cache, self.num_feats, "doc_id", "text")
-        if not len(ids):
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_grams": pa.array([], pa.int64()),
-                             "logw_q": pa.array([], pa.int64())})
-        df = pd.DataFrame({"doc_id": ids, "lq": self.lam[buckets]})
-        g = df.groupby("doc_id", sort=False)["lq"].agg(["size", "sum"])
-        return pa.table({
-            "doc_id": pa.array(g.index.to_numpy(np.int64)),
-            "n_grams": pa.array(g["size"].to_numpy(np.int64)),
-            "logw_q": pa.array(g["sum"].to_numpy(np.int64)),
-        })
+def _score(batch: pa.Table, lam_ref, num_feats: int) -> pa.Table:
+    """Per-doc weights of one batch. Each worker process fetches
+    ``lam_ref`` once and keeps it, with its gram->bucket cache, in a
+    one-entry memo."""
+    import ray
+
+    lam, cache = memo(_SCORE_STATE, (lam_ref.hex(), num_feats),
+                      lambda: (ray.get(lam_ref), {}), 1)
+    ids, buckets = _doc_gram_buckets(batch, cache, num_feats, "doc_id", "text")
+    if not len(ids):
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "n_grams": pa.array([], pa.int64()),
+                         "logw_q": pa.array([], pa.int64())})
+    df = pd.DataFrame({"doc_id": ids, "lq": lam[buckets]})
+    g = df.groupby("doc_id", sort=False)["lq"].agg(["size", "sum"])
+    return pa.table({
+        "doc_id": pa.array(g.index.to_numpy(np.int64)),
+        "n_grams": pa.array(g["size"].to_numpy(np.int64)),
+        "logw_q": pa.array(g["sum"].to_numpy(np.int64)),
+    })
 
 
 def score_importance(docs_ds, lam_q: np.ndarray):
@@ -183,9 +184,7 @@ def score_importance(docs_ds, lam_q: np.ndarray):
 
     ref = ray.put(np.asarray(lam_q, np.int64))
     nf = int(len(lam_q))
-    return docs_ds.map_batches(
-        _Score, fn_constructor_args=(ref, nf),
-        batch_format="pyarrow", concurrency=(1, 8))
+    return docs_ds.map_batches(lambda t: _score(t, ref, nf), batch_format="pyarrow")
 
 
 def dsir_select(docs_ds, target_col: str, target_val, k: int,

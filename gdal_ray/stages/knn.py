@@ -1,11 +1,11 @@
 """kNN lookup of query points against image centroids.
 
 Mirrors GDAL's gridding nearest-neighbor search (quadtree + expanding
-radius, ``alg/gdalgrid.cpp:896-923``) as a Ray actor-pool stage:
+radius, ``alg/gdalgrid.cpp:896-923``) as a Ray task stage (``knn_batch``):
 
 - reference points (image centroids) are bucketed by cell at CELL_LEVEL
-  into a dict index, broadcast once via `ray.put`, fetched per actor in
-  ``__init__`` (never per batch);
+  into a dict index, broadcast once via `ray.put`, and fetched once per
+  worker process into a one-entry memo (never per batch);
 - per query, candidates come from an expanding Chebyshev k-ring of cells;
   results are EXACT: points outside ring r are at Euclidean distance
   >= r * cell_edge from anywhere in the query's cell, so once the k-th

@@ -24,7 +24,7 @@ import pyarrow as pa
 
 from gdal_ray.config import CELL_LEVEL
 from gdal_ray.geo import cells as CL
-from gdal_ray.ops.shuffle import bucketed_group_apply
+from gdal_ray.ops.shuffle import bucketed_group_apply, co_union
 
 __all__ = ["point_footprint_candidates", "sample_at_points", "CAND_SCHEMA"]
 
@@ -35,6 +35,15 @@ CAND_SCHEMA = pa.schema(
         ("qx", pa.float64()),
         ("qy", pa.float64()),
     ]
+)
+
+
+# stage A's two sides in one schema: the points (cell, query_id, qx, qy)
+# and the footprint covers (cell, image_id, minx, miny, maxx, maxy)
+_TAGGED_SCHEMA = pa.schema(
+    [("cell", pa.int64()), ("query_id", pa.string()), ("qx", pa.float64()),
+     ("qy", pa.float64()), ("image_id", pa.string())]
+    + [(c, pa.float64()) for c in ("minx", "miny", "maxx", "maxy")]
 )
 
 
@@ -56,7 +65,6 @@ def point_footprint_candidates(
         return pa.table(
             {
                 "cell": pa.array(CL.cell_of_meters(cx, cy, level)),
-                "side": pa.array(["q"] * len(batch), pa.string()),
                 "query_id": batch["query_id"],
                 "qx": pa.array(cx),
                 "qy": pa.array(cy),
@@ -73,7 +81,6 @@ def point_footprint_candidates(
         return pa.table(
             {
                 "cell": pa.array(cell),
-                "side": pa.array(["i"] * len(row), pa.string()),
                 "image_id": batch["image_id"].take(take),
                 "minx": pa.array(minx[row]),
                 "miny": pa.array(miny[row]),
@@ -82,15 +89,17 @@ def point_footprint_candidates(
             }
         )
 
-    pts = points_ds.map_batches(pts_prep, batch_format="pyarrow")
-    fps = footprints_ds.map_batches(fp_prep, batch_format="pyarrow")
-    both = pts.union(fps)
+    both = co_union(
+        points_ds.map_batches(pts_prep, batch_format="pyarrow"),
+        footprints_ds.map_batches(fp_prep, batch_format="pyarrow"),
+        _TAGGED_SCHEMA,
+    )
 
     def join(part: pd.DataFrame) -> pd.DataFrame:
         out_img, out_q, out_x, out_y = [], [], [], []
         for _, g in part.groupby("cell", sort=False):
-            p = g[g["side"] == "q"]
-            f = g[g["side"] == "i"]
+            p = g[g["__side"] == 0]
+            f = g[g["__side"] == 1]
             if len(p) == 0 or len(f) == 0:
                 continue
             qx = p["qx"].to_numpy(dtype=np.float64)

@@ -45,3 +45,32 @@ def inflate_backends(monkeypatch):
         yield "zlib"
 
     return backends
+
+
+@pytest.fixture
+def bucket_sorts(monkeypatch):
+    """``bucket_sorts(cpus)`` makes ``cluster_cpus()`` read ``cpus`` and
+    returns a list that records the ``boundaries`` argument (None when
+    absent) of every ``Dataset.sort("__bucket")`` planned from then on."""
+    import inspect
+
+    import ray.data
+
+    from gdal_ray.ops import runtime
+
+    sort = ray.data.Dataset.sort
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        bound = inspect.signature(sort).bind(self, *args, **kwargs).arguments
+        if bound["key"] == "__bucket":
+            calls.append(bound.get("boundaries"))
+        return sort(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", spy)
+
+    def at(cpus: int) -> list:
+        monkeypatch.setattr(runtime, "cluster_cpus", lambda: cpus)
+        return calls
+
+    return at

@@ -774,11 +774,26 @@ def test_two_level_correlation(con, ray_session):
         execute_sql(deep, SF).to_pandas()
 
 
-def test_join_segment_revenue_at_one_cpu():
-    """At 1 Ray CPU the co-bucketed join finishes (Ray's hash join never
-    did: its aggregator actors each hold a CPU) and q_join_segment_revenue
-    matches its DuckDB twin at sf0.01, dtype-strict, within 40 s of engine
-    time. Runs the gate script in a subprocess with its own Ray."""
+@pytest.mark.parametrize("cpus", [1, 2, 32])
+def test_union_plans_fixed_bucket_ranges(ray_session, bucket_sorts, cpus):
+    """A plain UNION's DISTINCT exchange sorts its 16 buckets on the fixed
+    ranges of ``ops/shuffle._bucket_boundaries``; Ray samples none."""
+    from gdal_ray.ops.shuffle import _bucket_boundaries
+    from gdal_ray.sql import execute_sql
+
+    calls = bucket_sorts(cpus)
+    execute_sql("SELECT r_regionkey AS k FROM region UNION "
+                "SELECT n_regionkey FROM nation", SF)
+    assert calls == [_bucket_boundaries(16, cpus)]
+
+
+@pytest.mark.parametrize("query", ["q_join_segment_revenue", "q_union_lattice"])
+def test_join_segment_revenue_at_one_cpu(query):
+    """At 1 Ray CPU (two sort ranges) the co-bucketed join finishes (Ray's
+    hash join never did: its aggregator actors each hold a CPU), and so
+    does the layer union's exchange; each query matches its DuckDB twin at
+    sf0.01, dtype-strict, within 40 s of engine time. Runs the gate script
+    in a subprocess with its own Ray."""
     import os
     import re
     import subprocess
@@ -790,11 +805,10 @@ def test_join_segment_revenue_at_one_cpu():
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", "check_oracle.py"),
-         os.path.join(os.path.dirname(SF), "sf0.01"), "q_join_segment_revenue",
-         "--cpus", "1"],
+         os.path.join(os.path.dirname(SF), "sf0.01"), query, "--cpus", "1"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    line = re.search(r"^q_join_segment_revenue\s+([\d.]+)s\s+(.*)$", proc.stdout, re.M)
+    line = re.search(rf"^{query}\s+([\d.]+)s\s+(.*)$", proc.stdout, re.M)
     assert line, proc.stdout[-2000:]
     assert line.group(2) == "OK"
     assert float(line.group(1)) < 40.0
